@@ -42,6 +42,8 @@ __all__ = [
     "callback_form",
 ]
 
+_INF = float("inf")
+
 
 class ServletError(Exception):
     """A downstream call failed (dropped beyond retries, or error reply).
@@ -58,8 +60,11 @@ class Compute:
     __slots__ = ("work",)
 
     def __init__(self, work):
-        if work < 0:
-            raise ValueError(f"negative compute work {work!r}")
+        if not 0 <= work < _INF:
+            raise ValueError(
+                f"{'negative' if work < 0 else 'non-finite'} compute work "
+                f"{work!r}"
+            )
         self.work = work
 
     def __repr__(self):

@@ -22,7 +22,10 @@ Internally each VM tracks a *virtual progress* integral
 (``∫ per-job-rate dt``); a job submitted when the integral is ``p``
 completes when the integral reaches ``p + work``.  Because every
 runnable job in a VM advances at the same rate, completions pop off a
-per-VM heap in O(log n) — updates do not touch every job.
+per-VM heap in O(log n) — updates do not touch every job.  A job is
+nothing but its heap entry ``(target, seq, done)``: the finish line on
+the integral, a per-VM submission counter (tie-break) and the event
+that succeeds with ``None`` when the work is done.
 
 Freezes model I/O stalls: a frozen VM gets zero allocation and the
 frozen time is accounted as *iowait* (this is how we reproduce the
@@ -35,39 +38,17 @@ allocation but completes work at ``allocation * efficiency(n_jobs)``.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 
 from ..sim.events import SlimEvent
 
-__all__ = ["Host", "Vm", "Job"]
+__all__ = ["Host", "Vm"]
 
 # Remaining work below this is considered complete (guards float drift).
 _WORK_EPSILON = 1e-12
 
-
-class Job:
-    """A unit of CPU work running on a VM.
-
-    ``done`` is an event succeeding (with the job) when the work finishes.
-    """
-
-    __slots__ = ("vm", "work", "target", "done", "submitted_at")
-
-    def __init__(self, vm, work, done):
-        self.vm = vm
-        self.work = work
-        self.target = vm._progress + work  # virtual-progress finish line
-        self.done = done
-        self.submitted_at = vm.sim.now
-
-    @property
-    def remaining(self):
-        """Seconds of work left, at the VM's last settled instant."""
-        return max(0.0, self.target - self.vm._progress)
-
-    def __repr__(self):
-        return f"<Job on {self.vm.name} remaining={self.remaining:.6f}s>"
+_INF = float("inf")
 
 
 class Vm:
@@ -121,7 +102,7 @@ class Vm:
         self._bus_alloc = 0.0
         # virtual progress machinery
         self._progress = 0.0
-        self._heap = []  # (target, seq, job)
+        self._heap = []  # (target, seq, done)
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -153,17 +134,27 @@ class Vm:
     # work submission
     # ------------------------------------------------------------------
     def execute(self, work):
-        """Submit ``work`` seconds of CPU work; returns the done event.
+        """Submit ``work`` seconds of CPU work; returns the done event,
+        which succeeds with ``None`` when the work is finished.
 
         Zero-work jobs complete immediately (same instant).
         """
-        if work < 0:
-            raise ValueError(f"negative work {work!r}")
+        if not 0.0 <= work < _INF:
+            raise ValueError(
+                f"{'negative' if work < 0 else 'non-finite'} work {work!r}"
+            )
         done = SlimEvent(self.sim, name=self._job_event_name)
         if work <= _WORK_EPSILON:
             done.succeed(None)
             return done
-        self.host._add_job(self, work, done)
+        host = self.host
+        host._update()  # settle the integral the finish line is based on
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (self._progress + work, seq, done))
+        if not host._updating:
+            host._reallocate_and_schedule()
+        # else: the outer _update's caller reallocates once the job set
+        # settles (every top-level entry point ends with a reallocation).
         return done
 
     def freeze(self, duration):
@@ -208,7 +199,6 @@ class Host:
         self._last_update = sim.now
         self._completion_version = 0
         self._updating = False
-        self._dirty = False
 
     def add_vm(self, name, vcpus=1, shares=1.0, efficiency=None, limit=None):
         """Attach a new VM to this host."""
@@ -221,11 +211,19 @@ class Host:
     # allocation
     # ------------------------------------------------------------------
     def _reallocate(self):
-        """Weighted water-filling of ``cores`` across VM demands."""
-        # Vm.demand() is inlined here (same arithmetic): this runs on
-        # every job arrival/completion, for every VM.
-        pending = []
+        """Weighted water-filling of ``cores`` across VM demands.
+
+        Used for hosts with several VMs; the single-VM case is folded
+        into :meth:`_reallocate_and_schedule`.  ``Vm.demand()`` is
+        inlined here (same arithmetic): this runs on every job arrival
+        and completion, for every VM.
+        """
         now = self.sim.now
+        # the first demanding VM is held in locals: the tuple list is
+        # only built once a second VM demands CPU
+        first = None
+        first_d = 0.0
+        pending = None
         for vm in self.vms:
             heap = vm._heap
             if not heap or now < vm.frozen_until:
@@ -236,23 +234,26 @@ class Host:
             limit = vm.limit
             if limit is not None and limit < d:
                 d = limit
-            pending.append((vm, d))
-        if not pending:
-            return
-        remaining = float(self.cores)
-        if len(pending) == 1:
-            # Dominant case in steady state: one VM demanding.  The
-            # arithmetic mirrors the general loop exactly (including the
-            # shares/shares fair-share division) so allocations stay
-            # byte-identical with the water-filling below.
-            vm, d = pending[0]
-            if remaining > 1e-15:
-                fair = remaining * vm.shares / vm.shares
-                vm._alloc = d if fair >= d - 1e-15 else fair
+            if first is None:
+                first = vm
+                first_d = d
+            elif pending is None:
+                pending = [(first, first_d), (vm, d)]
             else:
-                vm._alloc = 0.0
-            return
-        self._reallocate_general(pending, remaining)
+                pending.append((vm, d))
+        if pending is not None:
+            self._reallocate_general(pending, float(self.cores))
+        elif first is not None:
+            # Dominant case in steady state: one VM demanding.  The
+            # arithmetic is the water-filling's first round with one
+            # entry, operation for operation (``shares / shares`` is not
+            # simplified), so allocations stay bit-identical with it.
+            remaining = float(self.cores)
+            if remaining > 1e-15:
+                fair = remaining * first.shares / first.shares
+                first._alloc = first_d if fair >= first_d - 1e-15 else fair
+            else:
+                first._alloc = 0.0
 
     def _reallocate_general(self, pending, remaining):
         # Iteratively cap VMs whose fair share exceeds their demand and
@@ -284,99 +285,132 @@ class Host:
     def _update(self):
         """Advance accounting and fire completions; reentrancy-safe.
 
-        Completion callbacks routinely submit the request's *next* CPU
-        stage synchronously; those nested calls just mark the host dirty
-        and the outer invocation loops until the job set is stable.
+        The integration pass is inlined: this runs on every job arrival
+        and completion of every request.  The two-phase shape is
+        load-bearing — all completed jobs are popped *before* any
+        completion callback runs, so callbacks that freeze or submit
+        work never see a half-integrated pass.
 
-        The integration pass (formerly ``_advance``) is inlined: this
-        runs on every job arrival and completion of every request.  The
-        two-phase shape is load-bearing — all completed jobs are popped
-        *before* any completion callback runs, so callbacks that freeze
-        or submit work never see a half-integrated pass.
+        Completion callbacks routinely submit the request's *next* CPU
+        stage synchronously.  While they run, ``_updating`` is set:
+        nested submissions skip both the (zero-elapsed, so no-op)
+        integration and the reallocation, which the top-level caller
+        performs once the burst has settled — one completion timer per
+        burst instead of one per nested submission.  Simulated time
+        cannot move inside a callback, so the job set needs no second
+        integration pass afterwards.
         """
         if self._updating:
-            self._dirty = True
             return
-        self._updating = True
-        try:
-            sim = self.sim
-            vms = self.vms
-            while True:
-                self._dirty = False
-                # -- integrate consumption/progress since last update --
-                now = sim.now
-                elapsed = now - self._last_update
-                self._last_update = now
-                finished = None
-                if elapsed > 0:
-                    for vm in vms:
-                        heap = vm._heap
-                        # `now <= frozen_until` == `is_frozen or now ==
-                        # frozen_until`: freezes trigger updates at both
-                        # boundaries, so the whole elapsed interval was
-                        # frozen for this VM.
-                        if now <= vm.frozen_until:
-                            if heap:
-                                vm.iowait += elapsed
-                            continue
-                        if not heap:
-                            continue
-                        n = len(heap)
-                        # guest-perceived demand: runnable whether
-                        # granted or not
-                        vm.runnable += (n if n <= vm.vcpus
-                                        else vm.vcpus) * elapsed
-                        alloc = vm._alloc
-                        if alloc <= 0:
-                            continue
-                        used = alloc * elapsed
-                        vm.consumed += used
-                        self.busy += used
-                        efficiency = vm.efficiency
-                        eff = 1.0 if efficiency is None else efficiency(n)
-                        vm.effective += alloc * eff * elapsed
-                        vm._progress = progress = (
-                            vm._progress + (alloc / n) * eff * elapsed
-                        )
-                        limit = progress + _WORK_EPSILON
-                        while heap and heap[0][0] <= limit:
-                            _target, _seq, job = _heappop(heap)
-                            vm.jobs_completed += 1
-                            if finished is None:
-                                finished = [job]
-                            else:
-                                finished.append(job)
-                if finished is not None:
-                    for job in finished:
-                        job.done.succeed(job)
-                # every mutation a completion callback can make (execute,
-                # freeze) funnels through a nested _update and sets
-                # _dirty, so a clean flag means the job set is stable —
-                # no need for a confirming zero-elapsed advance pass
-                if not self._dirty:
-                    break
-        finally:
-            self._updating = False
+        now = self.sim.now
+        elapsed = now - self._last_update
+        if elapsed <= 0:
+            return
+        self._last_update = now
+        finished = None
+        for vm in self.vms:
+            heap = vm._heap
+            # `now <= frozen_until` == `is_frozen or now == frozen_until`:
+            # freezes trigger updates at both boundaries, so the whole
+            # elapsed interval was frozen for this VM.
+            if now <= vm.frozen_until:
+                if heap:
+                    vm.iowait += elapsed
+                continue
+            if not heap:
+                continue
+            n = len(heap)
+            # guest-perceived demand: runnable whether granted or not
+            vm.runnable += (n if n <= vm.vcpus else vm.vcpus) * elapsed
+            alloc = vm._alloc
+            if alloc <= 0:
+                continue
+            used = alloc * elapsed
+            vm.consumed += used
+            self.busy += used
+            efficiency = vm.efficiency
+            eff = 1.0 if efficiency is None else efficiency(n)
+            vm.effective += alloc * eff * elapsed
+            vm._progress = progress = (
+                vm._progress + (alloc / n) * eff * elapsed
+            )
+            limit = progress + _WORK_EPSILON
+            while heap and heap[0][0] <= limit:
+                done = _heappop(heap)[2]
+                vm.jobs_completed += 1
+                if finished is None:
+                    finished = [done]
+                else:
+                    finished.append(done)
+        if finished is not None:
+            self._updating = True
+            try:
+                for done in finished:
+                    done.succeed(None)
+            finally:
+                self._updating = False
 
     def _reallocate_and_schedule(self):
-        # _reallocate() + _schedule_next_completion() inlined: the pair
-        # runs back to back on every job arrival/completion, and both
-        # walk self.vms — keeping them one call saves two method
-        # dispatches per event on the hottest CPU-model path.  All
-        # allocations are assigned before the completion scan reads
-        # them, exactly as the split methods did.
+        """Reallocate, publish allocation changes, and schedule one
+        completion timer at the earliest projected completion.
+
+        Every reallocation funnels through here, and each call bumps
+        ``_completion_version`` so earlier timers go stale.  A host with
+        a single VM takes one allocation-free pass, inlined because it
+        runs on every job arrival and completion; its arithmetic is the
+        multi-VM path's with one VM, so both give bit-identical
+        allocations and completion times (``tests/test_cpu_host.py``
+        checks this).
+        """
+        vms = self.vms
+        now = self.sim.now
+        if len(vms) == 1:
+            vm = vms[0]
+            heap = vm._heap
+            if not heap or now < vm.frozen_until:
+                alloc = 0.0
+            else:
+                n = len(heap)
+                d = float(n if n <= vm.vcpus else vm.vcpus)
+                limit = vm.limit
+                if limit is not None and limit < d:
+                    d = limit
+                # the one-demanding-VM arithmetic of _reallocate, inlined
+                remaining = float(self.cores)
+                if remaining > 1e-15:
+                    fair = remaining * vm.shares / vm.shares
+                    alloc = d if fair >= d - 1e-15 else fair
+                else:
+                    alloc = 0.0
+            vm._alloc = alloc
+            if self._bus is not None and alloc != vm._bus_alloc:
+                vm._bus_alloc = alloc
+                self._bus.emit("cpu.alloc", vm.name, alloc)
+            self._completion_version = version = self._completion_version + 1
+            if alloc <= 0:
+                return
+            efficiency = vm.efficiency
+            rate = (alloc / n) * (1.0 if efficiency is None
+                                  else efficiency(n))
+            if rate <= 0:
+                return
+            head_remaining = heap[0][0] - vm._progress
+            if head_remaining < 0.0:
+                head_remaining = 0.0
+            self.sim.call_at(now + head_remaining / rate,
+                             self._on_completion_timer, version)
+            return
         self._reallocate()
         if self._bus is not None:
-            for vm in self.vms:
+            for vm in vms:
                 alloc = vm._alloc
                 if alloc != vm._bus_alloc:
                     vm._bus_alloc = alloc
                     self._bus.emit("cpu.alloc", vm.name, alloc)
         # -- schedule an update at the earliest projected completion --
         self._completion_version = version = self._completion_version + 1
-        now = self.sim.now
         horizon = None
-        for vm in self.vms:
+        for vm in vms:
             heap = vm._heap
             alloc = vm._alloc
             if not heap or alloc <= 0 or now < vm.frozen_until:
@@ -395,16 +429,6 @@ class Host:
                 horizon = eta
         if horizon is not None:
             self.sim.call_at(horizon, self._on_completion_timer, version)
-
-    def _add_job(self, vm, work, done):
-        self._update()
-        vm._seq += 1
-        job = Job(vm, work, done)
-        heapq.heappush(vm._heap, (job.target, vm._seq, job))
-        if not self._updating:
-            self._reallocate_and_schedule()
-        # else: the outer _update caller reallocates once the job set
-        # settles (every top-level entry point ends with a reallocation).
 
     def _schedule_wakeup(self, when):
         """Ensure an update happens at ``when`` (freeze boundaries)."""

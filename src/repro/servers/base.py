@@ -48,6 +48,7 @@ __all__ = [
     "BaseServer",
     "ServerStats",
     "advance_servlet",
+    "unknown_instruction",
 ]
 
 
@@ -82,6 +83,24 @@ class ServerStats:
 
     def snapshot(self):
         return {name: getattr(self, name) for name in self.__slots__}
+
+
+#: the servlet instructions both drivers accept, named in their error
+#: for anything else
+_INSTRUCTION_NAMES = ", ".join(
+    cls.__name__
+    for cls in (Compute, Call, Gather, CacheGet, CachePut, CacheAbort,
+                StorageRead, StorageWrite)
+)
+
+
+def unknown_instruction(name, step):
+    """The ``TypeError`` a driver of server ``name`` raises when a
+    servlet yields ``step``, which is no servlet instruction."""
+    return TypeError(
+        f"{name}: servlet yielded {step!r}, expected one of "
+        f"{_INSTRUCTION_NAMES}"
+    )
 
 
 #: outcome tags of one servlet-driver step — see :func:`advance_servlet`
@@ -138,9 +157,7 @@ def advance_servlet(name, gen, send_value, throw_value):
         return STEP_STORAGE_READ, step
     if isinstance(step, StorageWrite):
         return STEP_STORAGE_WRITE, step
-    raise TypeError(
-        f"{name}: servlet yielded {step!r}, expected Compute, Call or Gather"
-    )
+    raise unknown_instruction(name, step)
 
 
 class _RoundRobin:
@@ -404,10 +421,7 @@ class BaseServer:
                 except ServletError as exc:
                     to_throw = exc
             else:
-                raise TypeError(
-                    f"{name}: servlet yielded {step!r}, "
-                    "expected Compute, Call or Gather"
-                )
+                raise unknown_instruction(name, step)
 
     # ------------------------------------------------------------------
     # cache / storage steps (shared by both drivers)

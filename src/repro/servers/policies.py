@@ -68,6 +68,7 @@ from ..apps.servlet import (
 )
 from ..net.tcp import SHED, ConnectionTimeout
 from ..sim.resources import Store
+from .base import unknown_instruction
 from .gather import GatherCall
 
 __all__ = [
@@ -573,10 +574,7 @@ class EventLoopConcurrency(ConcurrencyPolicy):
                     self._park_on(server, task, done)
                     break
                 else:
-                    raise TypeError(
-                        f"{name}: servlet yielded {step!r}, "
-                        "expected Compute, Call or Gather"
-                    )
+                    raise unknown_instruction(name, step)
 
     @staticmethod
     def _park_on(server, task, event):

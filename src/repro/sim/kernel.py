@@ -56,6 +56,8 @@ _heapify = heapq.heapify
 # sequence numbers (~4.5e15 events) fit below it without collision.
 _PRIORITY_STRIDE = 1 << 52
 
+_INF = float("inf")
+
 #: environment variable selecting the scheduler built by ``Simulator()``
 KERNEL_ENV = "REPRO_KERNEL"
 
@@ -154,24 +156,36 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _scheduling_error(self, what):
-        """Shared constructor for past-scheduling errors (one message
-        shape for ``call_at`` and ``call_in``)."""
+    def _time_error(self, when):
+        """The error for an absolute time that is in the past, NaN or
+        infinite (one message shape on both kernels)."""
+        reason = "in the past" if when < self.now else "not a finite time"
         return ValueError(
-            f"cannot schedule {what}: current time is {self.now}"
+            f"cannot schedule at t={when} ({reason}): "
+            f"current time is {self.now}"
+        )
+
+    def _delay_error(self, delay):
+        """The error for a negative or NaN delay."""
+        kind = "negative" if delay < 0 else "non-finite"
+        return ValueError(
+            f"cannot schedule a {kind} delay ({delay!r}): "
+            f"current time is {self.now}"
         )
 
     def call_at(self, when, callback, *args, priority=0):
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        Scheduling in the past is an error; scheduling at ``now`` runs the
-        callback later in the same instant, after already-queued entries.
+        Scheduling in the past, at NaN or at infinity is an error;
+        scheduling at ``now`` runs the callback later in the same
+        instant, after already-queued entries.
         ``priority`` breaks ties before the insertion sequence (lower runs
         first) and is used sparingly, e.g. so monitors sample *after* the
         instant's state changes settle.
         """
-        if when < self.now:
-            raise self._scheduling_error(f"at t={when} (in the past)")
+        # `not >=` also rejects NaN, which every comparison fails
+        if not when >= self.now:
+            raise self._time_error(when)
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
@@ -192,6 +206,10 @@ class Simulator:
                 self._cursor = index
                 self._buckets[index].append((when, sequence, callback, args))
         else:
+            if when == _INF:
+                # the window could never roll forward onto it
+                self._sequence -= 1
+                raise self._time_error(when)
             _heappush(self._overflow, (when, sequence, callback, args))
 
     def call_in(self, delay, callback, *args, priority=0):
@@ -201,8 +219,8 @@ class Simulator:
         through :meth:`call_at` — this is the kernel's hottest entry
         point (every timeout, service completion and network hop).
         """
-        if delay < 0:
-            raise self._scheduling_error(f"a negative delay ({delay!r})")
+        if not delay >= 0:
+            raise self._delay_error(delay)
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
@@ -220,6 +238,10 @@ class Simulator:
                 self._cursor = index
                 self._buckets[index].append((when, sequence, callback, args))
         else:
+            if when == _INF:
+                # the window could never roll forward onto it
+                self._sequence -= 1
+                raise self._time_error(when)
             _heappush(self._overflow, (when, sequence, callback, args))
 
     def call_at_batch(self, times, callback):
@@ -242,10 +264,8 @@ class Simulator:
         push = _heappush
         try:
             for when in times:
-                if when < now:
-                    raise self._scheduling_error(
-                        f"at t={when} (in the past)"
-                    )
+                if not when >= now:
+                    raise self._time_error(when)
                 sequence += 1
                 offset = when - t0
                 if offset < span:
@@ -259,6 +279,9 @@ class Simulator:
                         self._cursor = index
                         buckets[index].append((when, sequence, callback, ()))
                 else:
+                    if when == _INF:
+                        sequence -= 1
+                        raise self._time_error(when)
                     push(overflow, (when, sequence, callback, ()))
         finally:
             self._sequence = sequence
@@ -486,20 +509,23 @@ class HeapSimulator(Simulator):
 
     # -- scheduling ----------------------------------------------------
     def call_at(self, when, callback, *args, priority=0):
-        if when < self.now:
-            raise self._scheduling_error(f"at t={when} (in the past)")
+        if not self.now <= when < _INF:
+            raise self._time_error(when)
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
         _heappush(self._heap, (when, sequence, callback, args))
 
     def call_in(self, delay, callback, *args, priority=0):
-        if delay < 0:
-            raise self._scheduling_error(f"a negative delay ({delay!r})")
+        if not delay >= 0:
+            raise self._delay_error(delay)
+        when = self.now + delay
+        if when == _INF:
+            raise self._time_error(when)
         self._sequence = sequence = self._sequence + 1
         if priority:
             sequence += priority * _PRIORITY_STRIDE
-        _heappush(self._heap, (self.now + delay, sequence, callback, args))
+        _heappush(self._heap, (when, sequence, callback, args))
 
     def call_at_batch(self, times, callback):
         now = self.now
@@ -508,10 +534,8 @@ class HeapSimulator(Simulator):
         push = _heappush
         try:
             for when in times:
-                if when < now:
-                    raise self._scheduling_error(
-                        f"at t={when} (in the past)"
-                    )
+                if not now <= when < _INF:
+                    raise self._time_error(when)
                 sequence += 1
                 push(heap, (when, sequence, callback, ()))
         finally:

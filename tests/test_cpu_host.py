@@ -1,5 +1,7 @@
 """Unit tests for the processor-sharing CPU model (repro.cpu.host)."""
 
+import random
+
 import pytest
 
 from repro.cpu import Host, PerfectEfficiency, ThreadOverheadModel
@@ -82,6 +84,16 @@ def test_negative_work_raises(sim):
     vm = host.add_vm("vm")
     with pytest.raises(ValueError):
         vm.execute(-1.0)
+
+
+@pytest.mark.parametrize("work", [float("nan"), float("inf")])
+def test_non_finite_work_raises(sim, work):
+    host = Host(sim, cores=1)
+    vm = host.add_vm("vm")
+    with pytest.raises(ValueError, match="non-finite work"):
+        vm.execute(work)
+    sim.run(until=1.0)  # nothing was scheduled
+    assert sim.now == 1.0 and vm.active_jobs == 0
 
 
 def test_vcpu_cap_limits_vm_rate(sim):
@@ -403,3 +415,114 @@ def test_cpu_limit_leaves_capacity_for_other_vms(sim):
     # capped runs at 0.25 cores; the other gets the remaining 0.75
     assert done["c"] == pytest.approx(1.0)
     assert done["o"] == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# single-VM fast path vs the general (multi-VM) path
+# ----------------------------------------------------------------------
+ACCOUNTING = ("consumed", "runnable", "effective", "iowait", "jobs_completed")
+
+
+def run_schedule(idle_neighbour, cores=1, vcpus=1, limit=None,
+                 efficiency=None):
+    """Replay one scripted job schedule (submissions, chained stages,
+    freezes, samples) on a host; returns everything observable."""
+    sim = Simulator(seed=5)
+    host = Host(sim, cores=cores)
+    vm = host.add_vm("vm", vcpus=vcpus, limit=limit, efficiency=efficiency)
+    if idle_neighbour:
+        host.add_vm("idle", shares=3.0)
+    rng = random.Random(3)
+    finished = []
+    samples = []
+
+    def submit(label, work, stages):
+        def on_done(_ev):
+            finished.append((label, sim.now))
+            if stages:
+                submit(f"{label}+", rng.uniform(1e-4, 5e-3), stages - 1)
+        vm.execute(work).add_callback(on_done)
+
+    def sample():
+        host.settle()
+        samples.append((sim.now, host.busy,
+                        *(getattr(vm, name) for name in ACCOUNTING)))
+
+    t = 0.0
+    for i in range(300):
+        t += rng.expovariate(400.0)
+        sim.call_at(t, submit, f"j{i}", rng.uniform(1e-4, 4e-3),
+                    rng.randrange(3))
+        if i % 40 == 17:
+            sim.call_at(t, vm.freeze, rng.uniform(0.0, 0.02))
+        if i % 25 == 0:
+            sim.call_at(t, sample, priority=1)
+    sim.run()
+    sample()
+    return finished, samples, sim.executed_events
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"cores": 2, "vcpus": 2, "efficiency": ThreadOverheadModel()},
+    {"limit": 0.6},
+], ids=["plain", "multicore-overhead", "limit"])
+def test_single_vm_path_matches_general_path_bit_for_bit(config):
+    """A host whose only other VM never demands CPU runs the general
+    water-filling path; alone, the VM takes the single-VM pass.  Both
+    must produce the same completion times and accounting, to the bit."""
+    alone = run_schedule(idle_neighbour=False, **config)
+    shared = run_schedule(idle_neighbour=True, **config)
+    finished, samples, _events = alone
+    assert len(finished) > 300 and len(samples) > 10
+    assert alone == shared
+
+
+def test_add_vm_mid_run_switches_to_the_general_path(sim):
+    """A VM added while the host runs (a colocation injector) must be
+    water-filled from then on: the first VM's job slows to its share."""
+    host = Host(sim, cores=1)
+    steady = host.add_vm("steady")
+    times = {}
+    steady.execute(2.0).add_callback(lambda ev: times.setdefault("a", sim.now))
+
+    def consolidate():
+        bursty = host.add_vm("bursty")
+        bursty.execute(1.0).add_callback(
+            lambda ev: times.setdefault("b", sim.now))
+
+    sim.call_at(1.0, consolidate)
+    sim.run()
+    # 1.0 s of work left at t=1, then half a core each until t=3
+    assert times == {"a": 3.0, "b": 3.0}
+    assert host.busy == 3.0
+
+
+@pytest.mark.parametrize("idle_neighbour", [False, True],
+                         ids=["alone", "neighbour"])
+def test_callback_submitting_then_freezing_in_one_instant(sim,
+                                                          idle_neighbour):
+    """A completion callback submits the next stage and then freezes
+    its VM: the freeze's reallocation lands mid-callback and the outer
+    one after it, in the same instant.  The dispatched-event count is
+    pinned (the benchmark pins it for whole workloads)."""
+    host = Host(sim, cores=1)
+    vm = host.add_vm("vm")
+    if idle_neighbour:
+        host.add_vm("idle")
+    times = {}
+
+    def next_stage(_ev):
+        times["first"] = sim.now
+        vm.execute(0.5).add_callback(
+            lambda ev: times.setdefault("next", sim.now))
+        vm.freeze(0.25)
+
+    vm.execute(1.0).add_callback(next_stage)
+    vm.execute(3.0).add_callback(lambda ev: times.setdefault("long", sim.now))
+    sim.run()
+    # t=1.0 stale timer, t=2.0 completion (callback freezes until 2.25),
+    # t=2.25 thaw, t=3.25 next stage done, t=4.75 long job done
+    assert sim.executed_events == 5
+    assert times == {"first": 2.0, "next": 3.25, "long": 4.75}
+    assert vm.iowait == 0.25

@@ -172,6 +172,39 @@ def test_error_paths_are_identical(make):
 
 @pytest.mark.parametrize("make", [HeapSimulator, Simulator],
                          ids=["heap", "wheel"])
+def test_non_finite_times_are_rejected_identically(make):
+    """NaN and infinite times are scheduling errors on both kernels.
+    The calendar kernel used to accept them into its overflow heap and
+    then spin forever trying to roll its window onto them."""
+    nan, inf = float("nan"), float("inf")
+    sim = make(seed=0)
+    hits = []
+    sim.call_in(1.0, hits.append, "first")
+    sim.run()
+    with pytest.raises(ValueError, match=r"at t=nan \(not a finite time\)"):
+        sim.call_at(nan, hits.append, "nan")
+    with pytest.raises(ValueError, match=r"at t=inf \(not a finite time\)"):
+        sim.call_at(inf, hits.append, "inf")
+    with pytest.raises(ValueError, match=r"at t=-inf \(in the past\)"):
+        sim.call_at(-inf, hits.append, "-inf")
+    with pytest.raises(ValueError, match=r"a non-finite delay \(nan\)"):
+        sim.call_in(nan, hits.append, "nan")
+    with pytest.raises(ValueError, match=r"at t=inf \(not a finite time\)"):
+        sim.call_in(inf, hits.append, "inf")
+    with pytest.raises(ValueError, match=r"at t=nan \(not a finite time\)"):
+        sim.call_at_batch([2.0, nan], lambda: hits.append("batch"))
+    with pytest.raises(ValueError, match=r"at t=inf \(not a finite time\)"):
+        sim.call_at_batch([3.0, inf], lambda: hits.append("batch"))
+    # rejected calls schedule nothing and use up no sequence number;
+    # the batch entries before the bad time stay scheduled
+    sim.call_at(2.0, hits.append, "after")
+    sim.run(until=10.0)
+    assert hits == ["first", "batch", "after", "batch"]
+    assert sim.now == 10.0
+
+
+@pytest.mark.parametrize("make", [HeapSimulator, Simulator],
+                         ids=["heap", "wheel"])
 def test_batch_failure_keeps_sequence_consistent(make):
     """A batch that fails mid-way must still account the entries it
     scheduled, so later ties order identically on both kernels."""

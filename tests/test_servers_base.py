@@ -5,7 +5,7 @@ import pytest
 from repro.apps.servlet import Call, Compute, Request
 from repro.cpu import Host
 from repro.net import NetworkFabric
-from repro.servers import ServerStats, SyncServer
+from repro.servers import AsyncServer, ServerStats, SyncServer
 from repro.sim import Simulator
 
 
@@ -101,6 +101,37 @@ def test_bad_servlet_yield_type_kills_the_worker(sim, fabric):
     assert results == []                 # no reply ever arrived
     assert server.stats.completed == 0
     assert server.busy_threads == 0      # worker died, slot not restored
+
+
+@pytest.mark.parametrize("server_cls", [SyncServer, AsyncServer],
+                         ids=["threads", "eventloop"])
+def test_unknown_instruction_error_is_shared_by_both_drivers(
+        sim, fabric, monkeypatch, server_cls):
+    """Both drivers reject a non-instruction with one message that
+    lists every servlet instruction."""
+    spawned = []
+    spawn = sim.process
+
+    def recording_spawn(generator, name=None):
+        process = spawn(generator, name=name)
+        spawned.append(process)
+        return process
+
+    monkeypatch.setattr(sim, "process", recording_spawn)
+
+    def bad_handler(ctx, request):
+        yield "not a step"
+
+    server = server_cls(sim, fabric, "srv", make_vm(sim), bad_handler)
+    send_one(sim, fabric, server.listener)
+    sim.run(until=1.0)
+    errors = [process.value for process in spawned if process.failed]
+    assert len(errors) == 1 and isinstance(errors[0], TypeError)
+    assert str(errors[0]) == (
+        "srv: servlet yielded 'not a step', expected one of Compute, "
+        "Call, Gather, CacheGet, CachePut, CacheAbort, StorageRead, "
+        "StorageWrite"
+    )
 
 
 def test_unrouted_call_fails_request_not_server(sim, fabric):
