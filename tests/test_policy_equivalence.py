@@ -8,9 +8,11 @@ same jobs must reproduce those records exactly — same event order,
 same RNG streams, same summaries — or the policy decomposition has
 changed simulation behaviour.
 
-The fast test replays one representative full-system job; the slow
-one replays the entire golden set through the parallel engine (the
-same command that generated the file).
+The fast tests replay one representative full-system job plus two
+short cells of the replicated/policy-override topologies
+(``tests/data/golden_topology_cells.json``); the slow one replays the
+entire golden set through the parallel engine (the same command that
+generated the file).
 """
 
 import json
@@ -30,6 +32,20 @@ from repro.experiments.runner import (
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_registry_quick.json"
 )
+CELLS_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "golden_topology_cells.json"
+)
+
+#: short registry cells pinning the replicated build (a hedged
+#: 3/3/3 scale-out under a stall triple) and a per-tier policy
+#: override (a load-shedding web tier) — fast stand-ins for the
+#: full scaleout/policy_matrix records of the slow replay
+SHORT_CELLS = [
+    JobConfig(name="scaleout", seed=42, duration=17.0,
+              params={"variants": ["rpc_hedged"]}),
+    JobConfig(name="policy_matrix", seed=42, duration=10.0,
+              params={"variants": ["shed_web"]}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +60,19 @@ def test_fig03_quick_record_matches_golden(golden):
     job = JobConfig(name="fig03", seed=42, duration=18.0)
     record = execute_job(job)
     assert record == golden[job_id(job)]
+
+
+@pytest.mark.parametrize("job", SHORT_CELLS, ids=job_id)
+def test_short_topology_cell_matches_golden(job):
+    """One replicated / policy-override cell, compared as canonical
+    JSON bytes against the record pinned before the topology builders
+    were unified."""
+    with open(CELLS_PATH) as handle:
+        cells = json.load(handle)
+    record = execute_job(job)
+    assert records_to_json({job_id(job): record}) == records_to_json(
+        {job_id(job): cells[job_id(job)]}
+    )
 
 
 @pytest.mark.slow
