@@ -26,7 +26,7 @@ offered load:
     bounded by the keyspace, which is sized under the backing queue —
     no overflow, no RTO, VLRT back to zero;
 ``storm_codel``
-    CoDel-style AQM at the backing tier (``AdmissionSpec("codel")``)
+    CoDel-style AQM at the backing tier (``TierPolicy.codel``)
     plus caller-side retries at the cache tier: instead of silently
     dropping into a 3 s RTO, the overloaded tier sheds 503s the moment
     queueing delay persists above target; the cache retries the shed
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from ..core.evaluation import GraphRunResult
 from ..metrics.detector import cache_miss_episodes
-from ..servers.policies import AdmissionSpec, RemediationSpec
+from ..servers.policies import RemediationSpec, TierPolicy
 from ..sim.kernel import Simulator
 from ..topology.graph import EdgeSpec, NodeSpec, ServiceGraph, build_graph
 from ..units import ms
@@ -152,8 +152,8 @@ def build_cache_storage(variant, seed=42, bus=None, streaming=False):
         db = NodeSpec(
             "db", pre_work=DB_WORK, sync=True, threads=DB_THREADS,
             backlog=DB_BACKLOG,
-            admission=AdmissionSpec(
-                "codel", depth=CODEL_DEPTH, target=CODEL_TARGET,
+            policy=TierPolicy.codel(
+                CODEL_DEPTH, threads=DB_THREADS, target=CODEL_TARGET,
                 interval=CODEL_INTERVAL,
             ) if spec["codel"] else None,
         )

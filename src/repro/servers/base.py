@@ -35,19 +35,8 @@ from .gather import GatherCall
 from .replica import ReplicaGroup
 
 __all__ = [
-    "STEP_CACHE_ABORT",
-    "STEP_CACHE_GET",
-    "STEP_CACHE_PUT",
-    "STEP_CALL",
-    "STEP_COMPUTE",
-    "STEP_DONE",
-    "STEP_FAIL",
-    "STEP_GATHER",
-    "STEP_STORAGE_READ",
-    "STEP_STORAGE_WRITE",
     "BaseServer",
     "ServerStats",
-    "advance_servlet",
     "unknown_instruction",
 ]
 
@@ -101,63 +90,6 @@ def unknown_instruction(name, step):
         f"{name}: servlet yielded {step!r}, expected one of "
         f"{_INSTRUCTION_NAMES}"
     )
-
-
-#: outcome tags of one servlet-driver step — see :func:`advance_servlet`
-(STEP_COMPUTE, STEP_CALL, STEP_DONE, STEP_FAIL, STEP_GATHER,
- STEP_CACHE_GET, STEP_CACHE_PUT, STEP_CACHE_ABORT,
- STEP_STORAGE_READ, STEP_STORAGE_WRITE) = range(10)
-
-
-def advance_servlet(name, gen, send_value, throw_value):
-    """Advance one servlet continuation by a single step.
-
-    This is *the* servlet-driver step, shared by every concurrency
-    policy: the thread-pool driver loops over it while holding a thread
-    (``BaseServer._drive``), the event-loop driver runs it one stage at
-    a time and parks the continuation across downstream calls.  Returns
-    a ``(tag, payload)`` pair:
-
-    ``(STEP_COMPUTE, seconds)``
-        the servlet wants CPU;
-    ``(STEP_CALL, step)``
-        the servlet wants a downstream :class:`Call`;
-    ``(STEP_GATHER, step)``
-        the servlet wants a parallel :class:`Gather` fan-out;
-    ``(STEP_DONE, value)``
-        the servlet returned ``value``;
-    ``(STEP_FAIL, exc)``
-        the servlet raised :class:`ServletError` ``exc``.
-
-    Anything else the servlet yields is a programming error and raises
-    ``TypeError`` into the driver (killing its worker, not the server).
-    """
-    try:
-        if throw_value is not None:
-            step = gen.throw(throw_value)
-        else:
-            step = gen.send(send_value)
-    except StopIteration as stop:
-        return STEP_DONE, stop.value
-    except ServletError as exc:
-        return STEP_FAIL, exc
-    if isinstance(step, Compute):
-        return STEP_COMPUTE, step.work
-    if isinstance(step, Call):
-        return STEP_CALL, step
-    if isinstance(step, Gather):
-        return STEP_GATHER, step
-    if isinstance(step, CacheGet):
-        return STEP_CACHE_GET, step
-    if isinstance(step, CachePut):
-        return STEP_CACHE_PUT, step
-    if isinstance(step, CacheAbort):
-        return STEP_CACHE_ABORT, step
-    if isinstance(step, StorageRead):
-        return STEP_STORAGE_READ, step
-    if isinstance(step, StorageWrite):
-        return STEP_STORAGE_WRITE, step
-    raise unknown_instruction(name, step)
 
 
 class _RoundRobin:
@@ -322,10 +254,9 @@ class BaseServer:
         """
         # locals bound once per request: the loop below resumes for every
         # CPU stage and downstream call of every request on every tier.
-        # It is advance_servlet() inlined — one generator resume per step
-        # instead of a call + tag-tuple + dispatch — with identical
-        # semantics (the step-function remains the shared contract for
-        # the event-loop driver and the tests).
+        # The dispatch is inline (one generator resume per step); the
+        # event-loop driver (EventLoopConcurrency._worker) keeps its own
+        # inline copy of the same instruction semantics.
         sim = self.sim
         name = self.name
         request = exchange.payload

@@ -16,8 +16,9 @@ class per design point but a composition of three orthogonal policies:
   instead of letting TCP drop and retransmit — trading silent 3-second
   stalls for fast, explicit failures.
 
-**ConcurrencyPolicy** — who runs the servlet driver
-(:func:`~repro.servers.base.advance_servlet`):
+**ConcurrencyPolicy** — who runs the servlet driver (the thread pool
+runs :meth:`~repro.servers.base.BaseServer._drive`; the event loop
+interprets the same instructions one stage at a time):
 
 - :class:`ThreadPoolConcurrency` — a bounded pool of threads, each
   held for a request's entire lifetime including downstream waits
@@ -45,7 +46,8 @@ The classic servers are thin presets over this layer::
 
 and hybrids (eager admission feeding a thread pool, a bounded shedding
 queue in front of either, retries at any tier) become configuration —
-see the :class:`TierPolicy` spec consumed by ``topology/builder.py``.
+see the :class:`TierPolicy` spec that every built topology's servers
+are constructed from (``NodeSpec.policy``, ``SystemConfig.tier_policy``).
 """
 
 from __future__ import annotations
@@ -479,9 +481,8 @@ class EventLoopConcurrency(ConcurrencyPolicy):
     def _worker(self, server):
         """One loop worker: run ready continuations, one CPU stage at a
         time; never blocks on downstream calls."""
-        # advance_servlet() inlined, like BaseServer._drive: one
-        # generator resume per stage instead of a call + tag dispatch,
-        # with identical semantics.
+        # the same instruction semantics as BaseServer._drive, inlined:
+        # one generator resume per stage.
         ready = server._ready
         execute = server.vm.execute
         stats = server.stats
@@ -947,7 +948,7 @@ class TimeoutRetry(RemediationPolicy):
 
 
 # ======================================================================
-# declarative specs (consumed by topology/configs.py + builder.py)
+# declarative specs (consumed by topology/configs.py + graph.py)
 # ======================================================================
 _ADMISSION_KINDS = ("backlog", "eager", "shed", "codel")
 _CONCURRENCY_KINDS = ("threads", "eventloop")

@@ -4,97 +4,84 @@ The standard RUBBoS 1/1/1 topology: one web server, one application
 server, one database server, each on its own VM on its own physical
 host (Fig 13).  Millibottleneck injectors later consolidate an
 antagonist VM onto one of these hosts (Fig 2) or freeze a VM's disk.
+
+The system is the three-node service graph of
+:meth:`SystemConfig.to_graph`, built by
+:func:`~repro.topology.graph.build_graph` like every other topology;
+this module names the tiers' servers after the paper's stacks and
+keys the built system by tier.
 """
 
 from __future__ import annotations
 
-from ..apps.rubbos import APP_TIER, DB_TIER, WEB_TIER, RubbosApplication
-from ..cpu.host import Host
+from ..apps.rubbos import RubbosApplication
 from ..cpu.overhead import ThreadOverheadModel
-from ..net.tcp import NetworkFabric
-from ..servers.async_server import AsyncServer
-from ..servers.replica import ReplicaGroup
-from ..servers.runtime import policy_server
-from ..servers.sync_server import SyncServer
 from ..sim.kernel import Simulator
 from .configs import SystemConfig, server_names
-from .graph import ServiceSystem
+from .graph import GraphSystem, build_graph
 
-__all__ = ["NTierSystem", "ReplicatedNTierSystem", "build_system"]
-
-_TIERS = (WEB_TIER, APP_TIER, DB_TIER)
+__all__ = ["NTierSystem", "build_system"]
 
 
-class NTierSystem(ServiceSystem):
-    """A built system: kernel, fabric, hosts, VMs, servers, app, log.
+class NTierSystem(GraphSystem):
+    """A built 3-tier system: kernel, fabric, hosts, VMs, servers, app,
+    log — a :class:`GraphSystem` with a tier-keyed surface.
 
-    ``servers`` and ``vms`` are keyed by tier ("web"/"app"/"db");
-    ``names`` maps tiers to the display names used in the figures
-    (apache/nginx, tomcat/xtomcat, mysql/xmysql), with ``name_prefix``
-    applied when several systems share one simulation (Fig 2's
-    SysSteady/SysBursty pair).  Monitor/log wiring and drop/shed
-    accounting come from the shared :class:`ServiceSystem` surface.
+    ``servers``/``vms``/``hosts`` map each tier ("web"/"app"/"db") to
+    its object or, once any tier is replicated, to a list with one entry
+    per replica.  ``replica_names`` maps tiers to their replicas'
+    display names (``tomcat1``..``tomcatN``; a 1-replica tier keeps the
+    plain name) and ``names`` maps each tier to its first replica's:
+    the paper's stacks (apache/nginx, tomcat/xtomcat, mysql/xmysql),
+    with ``name_prefix`` applied when several systems share one
+    simulation (Fig 2's SysSteady/SysBursty pair).  Clients enter
+    through ``entry``, a :class:`~repro.servers.replica.ReplicaGroup`
+    when the web tier is replicated.
     """
 
-    def __init__(self, sim, config, name_prefix=""):
+    def __init__(self, sim, graph, fabric, config, app, name_prefix="",
+                 **kwargs):
+        super().__init__(sim, graph, fabric, **kwargs)
+        self.name_prefix = name_prefix
         self.config = config
-        self.names = {
-            tier: name_prefix + name
-            for tier, name in server_names(config).items()
-        }
-        self._init_shared(
-            sim,
-            NetworkFabric(
-                sim,
-                latency=config.net_latency,
-                rto=config.tcp_rto,
-                max_retransmits=config.max_retransmits,
-            ),
-            streaming=config.streaming,
-            name_prefix=name_prefix,
-        )
-        self.app = RubbosApplication(config.interaction_specs)
-        self.hosts = {}
-        self.vms = {}
-        self.servers = {}
+        self.app = app
+        self._flat = []
 
     @property
     def _monitor_interval(self):
         return self.config.monitor_interval
 
-    # ------------------------------------------------------------------
-    @property
-    def entry(self):
-        """The listener clients send to (the web tier)."""
-        return self.servers[WEB_TIER].listener
+    def _key_by_tier(self):
+        """Re-key the flat per-replica lists ``build_graph`` filled."""
+        self._flat = list(super()._rows())
+        keyed = ({}, {}, {})
+        for tier, names in self.replica_names.items():
+            rows = [row for row in self._flat if row[0] in names]
+            for column, index in zip(keyed, (1, 2, 3)):
+                values = [row[index] for row in rows]
+                column[tier] = (values if self.config.is_replicated
+                                else values[0])
+        self.hosts, self.vms, self.servers = keyed
+        self.names = {tier: names[0]
+                      for tier, names in self.replica_names.items()}
 
-    def host_of(self, tier):
-        return self.hosts[tier]
+    def _rows(self):
+        return iter(self._flat)
 
-    # replica-agnostic iteration (shared surface with the replicated
-    # system, so RunResult and attribution handle both uniformly) ------
-    def server_items(self):
-        """(display name, server) pairs, tier order, one per replica."""
-        return [(self.names[t], self.servers[t]) for t in _TIERS]
+    def host_of(self, tier, replica=0):
+        return self._row(self.replica_names[tier][replica])[1]
 
-    def vm_items(self):
-        return [(self.names[t], self.vms[t]) for t in _TIERS]
-
-    def host_items(self):
-        return [(self.names[t], self.hosts[t]) for t in _TIERS]
-
-    def tier_groups(self):
-        """Tier-ordered display-name groups (replicas share a group)."""
-        return [[self.names[t]] for t in _TIERS]
-
-    def tier_edges(self):
-        """Invocation edges as (i, j) pairs into :meth:`tier_groups`:
-        the linear web → app → db path."""
-        return [(0, 1), (1, 2)]
+    def open_loop(self, rate, rng_label=None):
+        # the graph client sends bare graph requests; the RUBBoS
+        # servlets dispatch on the interaction a request carries
+        raise TypeError(
+            "a 3-tier system takes RUBBoS workloads: use "
+            "Scenario.with_open_loop or repro.workload generators"
+        )
 
     def __repr__(self):
         stack = "-".join(
-            self.names[t] for t in (WEB_TIER, APP_TIER, DB_TIER)
+            "/".join(names) for names in self.replica_names.values()
         )
         return f"<NTierSystem nx={self.config.nx} {stack}>"
 
@@ -115,393 +102,37 @@ def build_system(config=None, sim=None, host_overrides=None, name_prefix="",
     any resource is wired, so every substrate component publishes to it.
     """
     config = config or SystemConfig()
-    if sim is not None and sim.seed != config.seed:
-        raise ValueError(
-            f"simulator seed {sim.seed!r} != config.seed {config.seed!r}; "
-            "forked RNG streams would not be reproducible from the config"
-        )
     if sim is not None and bus is not None:
         raise ValueError(
             "pass the bus to the existing simulator, not to build_system: "
             "components capture sim.bus at construction"
         )
-    if config.is_replicated:
-        # any tier with > 1 replica takes the scale-out build path; the
-        # classic path below is untouched so 1/1/1 systems stay
-        # byte-identical to their golden records
-        if host_overrides:
-            raise ValueError(
-                "host_overrides is not supported with replicated tiers; "
-                "consolidate via Scenario.with_consolidation instead"
-            )
-        sim = sim or Simulator(seed=config.seed, bus=bus)
-        return _build_replicated_system(config, sim, name_prefix)
-    sim = sim or Simulator(seed=config.seed, bus=bus)
-    host_overrides = host_overrides or {}
-    system = NTierSystem(sim, config, name_prefix=name_prefix)
-    handlers = system.app.handlers()
-
-    overhead = None
+    if sim is None:
+        sim = Simulator(seed=config.seed, bus=bus)
+    app = RubbosApplication(config.interaction_specs)
+    system = build_graph(
+        config.to_graph(app), sim=sim, seed=config.seed,
+        net_latency=config.net_latency, rto=config.tcp_rto,
+        max_retransmits=config.max_retransmits, streaming=config.streaming,
+        system_factory=lambda sim, graph, fabric, **kwargs: NTierSystem(
+            sim, graph, fabric, config, app, name_prefix=name_prefix,
+            **kwargs
+        ),
+        names={tier: name_prefix + name
+               for tier, name in server_names(config).items()},
+        host_overrides=host_overrides,
+    )
+    system._key_by_tier()
     if config.thread_overhead:
-        overhead = ThreadOverheadModel(
-            switch_cost=config.switch_cost,
-            gc_cost=config.gc_cost,
-            free_threads=config.free_threads,
-        )
-
-    # one VM per tier, each on a dedicated host (Fig 13's deployment)
-    # unless a host override consolidates it onto a shared machine
-    for tier, vcpus in (
-        (WEB_TIER, 1),
-        (APP_TIER, config.app_vcpus),
-        (DB_TIER, 1),
-    ):
-        name = system.names[tier]
-        host = host_overrides.get(tier)
-        if host is None:
-            host = Host(sim, cores=max(1, vcpus), name=f"{name}-host")
         # the thread-count overhead model only applies to tiers whose
         # concurrency actually multiplies threads with load
-        policy = config.tier_policy(_tier_attr(tier))
-        if policy is not None:
-            is_async = policy.concurrency.kind == "eventloop"
-        else:
-            is_async = getattr(config, f"{_tier_attr(tier)}_is_async")
-        vm = host.add_vm(
-            f"{name}-vm",
-            vcpus=vcpus,
-            efficiency=None if is_async else overhead,
-        )
-        system.hosts[tier] = host
-        system.vms[tier] = vm
-
-    # --- web tier -----------------------------------------------------
-    if config.web_policy is not None:
-        system.servers[WEB_TIER] = policy_server(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER], config.web_policy,
-            backlog=config.web_backlog,
-        )
-    elif config.web_is_async:
-        system.servers[WEB_TIER] = AsyncServer(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER],
-            lite_q_depth=config.lite_q_depth,
-            workers=config.nginx_workers,
-            backlog=config.web_backlog,
-        )
-    else:
-        system.servers[WEB_TIER] = SyncServer(
-            sim, system.fabric, system.names[WEB_TIER], system.vms[WEB_TIER],
-            handlers[WEB_TIER],
-            threads=config.web_threads,
-            backlog=config.web_backlog,
-            spawn_extra_process=config.web_spawn_extra_process,
-            spawn_after=config.web_spawn_after,
-            max_processes=config.web_max_processes,
-        )
-
-    # --- app tier -----------------------------------------------------
-    if config.app_policy is not None:
-        system.servers[APP_TIER] = policy_server(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER], config.app_policy,
-            backlog=config.app_backlog,
-        )
-    elif config.app_is_async:
-        # XTomcat: NIO connector (huge lightweight queue) feeding the
-        # regular servlet executor pool — requests park in the connector
-        # queue instead of the kernel backlog, and executors never block
-        # on the (asynchronous) database connector.
-        system.servers[APP_TIER] = AsyncServer(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER],
-            lite_q_depth=config.lite_q_depth,
-            workers=config.xtomcat_workers,
-            backlog=config.app_backlog,
-            pace_rate=config.xtomcat_pace_rate,
-        )
-    else:
-        system.servers[APP_TIER] = SyncServer(
-            sim, system.fabric, system.names[APP_TIER], system.vms[APP_TIER],
-            handlers[APP_TIER],
-            threads=config.app_threads,
-            backlog=config.app_backlog,
-        )
-
-    # --- db tier ------------------------------------------------------
-    if config.db_policy is not None:
-        system.servers[DB_TIER] = policy_server(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER], config.db_policy,
-            backlog=config.db_backlog,
-        )
-    elif config.db_is_async:
-        system.servers[DB_TIER] = AsyncServer(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER],
-            lite_q_depth=config.xmysql_queue,
-            workers=config.xmysql_slots,
-            backlog=config.db_backlog,
-        )
-    else:
-        system.servers[DB_TIER] = SyncServer(
-            sim, system.fabric, system.names[DB_TIER], system.vms[DB_TIER],
-            handlers[DB_TIER],
-            threads=config.db_threads,
-            backlog=config.db_backlog,
-        )
-
-    # --- wiring ---------------------------------------------------------
-    system.servers[WEB_TIER].connect(APP_TIER, system.servers[APP_TIER].listener)
-    # A synchronous Tomcat talks to MySQL through a bounded JDBC pool;
-    # the asynchronous connector multiplexes and needs no pool.
-    if config.app_policy is not None:
-        app_blocks = config.app_policy.concurrency.kind == "threads"
-    else:
-        app_blocks = not config.app_is_async
-    pool = config.db_pool_size if app_blocks else None
-    system.servers[APP_TIER].connect(
-        DB_TIER, system.servers[DB_TIER].listener, pool_size=pool
-    )
-    return system
-
-
-def _tier_attr(tier):
-    return {WEB_TIER: "web", APP_TIER: "app", DB_TIER: "db"}[tier]
-
-
-# ======================================================================
-# scale-out: replicated tiers behind load balancers
-# ======================================================================
-class ReplicatedNTierSystem(NTierSystem):
-    """An n-tier system whose tiers are replica groups.
-
-    ``servers``/``vms``/``hosts`` map each tier to a *list* (one entry
-    per replica) and ``replica_names`` to the matching display names
-    (``tomcat1``..``tomcatN``; a 1-replica tier keeps the plain name).
-    ``names`` keeps the tier → first-replica mapping so tier-keyed
-    accessors still resolve.  Clients enter through ``entry`` — a
-    :class:`~repro.servers.replica.ReplicaGroup` when the web tier is
-    replicated — and every replicated route in ``groups`` balances,
-    pools and (optionally) hedges per the config.
-    """
-
-    def __init__(self, sim, config, name_prefix=""):
-        super().__init__(sim, config, name_prefix=name_prefix)
-        base = {
-            tier: name_prefix + name
-            for tier, name in server_names(config).items()
-        }
-        self.replica_names = {}
-        for tier in _TIERS:
-            count = config.tier_replicas(_tier_attr(tier))
-            if count == 1:
-                self.replica_names[tier] = [base[tier]]
-            else:
-                self.replica_names[tier] = [
-                    f"{base[tier]}{i + 1}" for i in range(count)
-                ]
-        # tier-keyed accessors resolve to the first replica
-        self.names = {tier: self.replica_names[tier][0] for tier in _TIERS}
-        self.hosts = {tier: [] for tier in _TIERS}
-        self.vms = {tier: [] for tier in _TIERS}
-        self.servers = {tier: [] for tier in _TIERS}
-        #: route label → ReplicaGroup (client entry + per-caller groups)
-        self.groups = {}
-        self.client_group = None
-
-    # ------------------------------------------------------------------
-    @property
-    def entry(self):
-        if self.client_group is not None:
-            return self.client_group
-        return self.servers[WEB_TIER][0].listener
-
-    def host_of(self, tier, replica=0):
-        return self.hosts[tier][replica]
-
-    def server_items(self):
-        return [
-            (name, server)
-            for tier in _TIERS
-            for name, server in zip(self.replica_names[tier],
-                                    self.servers[tier])
-        ]
-
-    def vm_items(self):
-        return [
-            (name, vm)
-            for tier in _TIERS
-            for name, vm in zip(self.replica_names[tier], self.vms[tier])
-        ]
-
-    def host_items(self):
-        return [
-            (name, host)
-            for tier in _TIERS
-            for name, host in zip(self.replica_names[tier], self.hosts[tier])
-        ]
-
-    def tier_groups(self):
-        return [list(self.replica_names[tier]) for tier in _TIERS]
-
-    def _watch(self, monitor):
-        """Monitor every replica's VM, then every server, then every
-        replica group — the non-interleaved registration order the
-        scale-out golden records are keyed on."""
-        for name, vm in self.vm_items():
-            monitor.watch_vm(name, vm)
-        for name, server in self.server_items():
-            monitor.watch_server(name, server)
-        for label, group in self.groups.items():
-            monitor.watch_group(label, group)
-
-    def __repr__(self):
-        stack = "-".join(
-            f"{server_names(self.config)[t]}x{len(self.servers[t])}"
-            for t in _TIERS
-        )
-        return f"<ReplicatedNTierSystem nx={self.config.nx} {stack}>"
-
-
-def _tier_server(sim, system, config, tier, name, vm, handler):
-    """Build one server of ``tier`` named ``name`` — the same per-tier
-    policy/async/sync selection as the classic build path."""
-    attr = _tier_attr(tier)
-    policy = config.tier_policy(attr)
-    fabric = system.fabric
-    if policy is not None:
-        return policy_server(
-            sim, fabric, name, vm, handler, policy,
-            backlog=getattr(config, f"{attr}_backlog"),
-        )
-    if attr == "web":
-        if config.web_is_async:
-            return AsyncServer(
-                sim, fabric, name, vm, handler,
-                lite_q_depth=config.lite_q_depth,
-                workers=config.nginx_workers,
-                backlog=config.web_backlog,
-            )
-        return SyncServer(
-            sim, fabric, name, vm, handler,
-            threads=config.web_threads,
-            backlog=config.web_backlog,
-            spawn_extra_process=config.web_spawn_extra_process,
-            spawn_after=config.web_spawn_after,
-            max_processes=config.web_max_processes,
-        )
-    if attr == "app":
-        if config.app_is_async:
-            return AsyncServer(
-                sim, fabric, name, vm, handler,
-                lite_q_depth=config.lite_q_depth,
-                workers=config.xtomcat_workers,
-                backlog=config.app_backlog,
-                pace_rate=config.xtomcat_pace_rate,
-            )
-        return SyncServer(
-            sim, fabric, name, vm, handler,
-            threads=config.app_threads,
-            backlog=config.app_backlog,
-        )
-    if config.db_is_async:
-        return AsyncServer(
-            sim, fabric, name, vm, handler,
-            lite_q_depth=config.xmysql_queue,
-            workers=config.xmysql_slots,
-            backlog=config.db_backlog,
-        )
-    return SyncServer(
-        sim, fabric, name, vm, handler,
-        threads=config.db_threads,
-        backlog=config.db_backlog,
-    )
-
-
-def _route_group(system, caller_name, tier, pool_size=None):
-    """A fresh caller-owned ReplicaGroup over ``tier``'s listeners."""
-    config = system.config
-    listeners = [server.listener for server in system.servers[tier]]
-    hedging = config.hedging if len(listeners) > 1 else None
-    label = f"{caller_name}->{_tier_attr(tier)}"
-    group = ReplicaGroup(
-        system.sim, label, listeners,
-        balancer=config.balancer, hedging=hedging, pool_size=pool_size,
-    )
-    system.groups[label] = group
-    return group
-
-
-def _build_replicated_system(config, sim, name_prefix):
-    """The scale-out twin of :func:`build_system`: every tier becomes a
-    list of replicas, every replicated route a ReplicaGroup."""
-    system = ReplicatedNTierSystem(sim, config, name_prefix=name_prefix)
-    handlers = system.app.handlers()
-
-    overhead = None
-    if config.thread_overhead:
         overhead = ThreadOverheadModel(
             switch_cost=config.switch_cost,
             gc_cost=config.gc_cost,
             free_threads=config.free_threads,
         )
-
-    # every replica on its own VM on its own host (scale-*out*, not up)
-    for tier, vcpus in (
-        (WEB_TIER, 1),
-        (APP_TIER, config.app_vcpus),
-        (DB_TIER, 1),
-    ):
-        attr = _tier_attr(tier)
-        policy = config.tier_policy(attr)
-        if policy is not None:
-            is_async = policy.concurrency.kind == "eventloop"
-        else:
-            is_async = getattr(config, f"{attr}_is_async")
-        for name in system.replica_names[tier]:
-            host = Host(sim, cores=max(1, vcpus), name=f"{name}-host")
-            vm = host.add_vm(
-                f"{name}-vm",
-                vcpus=vcpus,
-                efficiency=None if is_async else overhead,
-            )
-            server = _tier_server(
-                sim, system, config, tier, name, vm, handlers[tier]
-            )
-            system.hosts[tier].append(host)
-            system.vms[tier].append(vm)
-            system.servers[tier].append(server)
-
-    # --- wiring -------------------------------------------------------
-    # clients -> web: a shared entry group when the web tier is
-    # replicated (the generators detect .send and dispatch through it)
-    if len(system.servers[WEB_TIER]) > 1:
-        system.client_group = _route_group(system, "clients", WEB_TIER)
-
-    # web -> app: per-caller groups when the app tier is replicated
-    app_replicated = len(system.servers[APP_TIER]) > 1
-    for name, web in zip(system.replica_names[WEB_TIER],
-                         system.servers[WEB_TIER]):
-        if app_replicated:
-            web.connect(APP_TIER, _route_group(system, name, APP_TIER))
-        else:
-            web.connect(APP_TIER, system.servers[APP_TIER][0].listener)
-
-    # app -> db: the JDBC pool becomes per-replica inside the group
-    if config.app_policy is not None:
-        app_blocks = config.app_policy.concurrency.kind == "threads"
-    else:
-        app_blocks = not config.app_is_async
-    pool = config.db_pool_size if app_blocks else None
-    db_replicated = len(system.servers[DB_TIER]) > 1
-    for name, app in zip(system.replica_names[APP_TIER],
-                         system.servers[APP_TIER]):
-        if db_replicated:
-            app.connect(DB_TIER, _route_group(system, name, DB_TIER,
-                                              pool_size=pool))
-        else:
-            app.connect(DB_TIER, system.servers[DB_TIER][0].listener,
-                        pool_size=pool)
+        for tier, names in system.replica_names.items():
+            if config.tier_policy(tier).concurrency.kind == "threads":
+                for name in names:
+                    system.vm(name).efficiency = overhead
     return system

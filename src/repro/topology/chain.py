@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..servers.policies import RemediationSpec
-from ..servers.replica import BALANCERS, HedgingSpec
+from ..servers.replica import HedgingSpec
 from ..units import ms
 from .graph import EdgeSpec, GraphSystem, NodeSpec, ServiceGraph, build_graph
 
@@ -72,48 +72,12 @@ class TierSpec:
     hedging: HedgingSpec = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.sync and self.threads < 1:
-            raise ValueError(f"{self.name}: threads must be >= 1")
-        if not self.sync and self.workers < 1:
-            raise ValueError(f"{self.name}: workers must be >= 1")
-        if self.calls_to_next < 1:
-            raise ValueError(f"{self.name}: calls_to_next must be >= 1")
-        if (self.remediation is not None
-                and not isinstance(self.remediation, RemediationSpec)):
-            raise ValueError(
-                f"{self.name}: remediation must be a RemediationSpec or "
-                f"None, got {self.remediation!r}"
-            )
-        if self.replicas < 1:
-            raise ValueError(f"{self.name}: replicas must be >= 1")
-        if self.balancer not in BALANCERS:
-            raise ValueError(
-                f"{self.name}: balancer must be one of {sorted(BALANCERS)}, "
-                f"got {self.balancer!r}"
-            )
-        if self.hedging is not None:
-            if not isinstance(self.hedging, HedgingSpec):
-                raise ValueError(
-                    f"{self.name}: hedging must be a HedgingSpec or None, "
-                    f"got {self.hedging!r}"
-                )
-            if self.replicas < 2:
-                raise ValueError(
-                    f"{self.name}: hedging needs replicas >= 2"
-                )
-
-    @property
-    def replica_names(self):
-        """Display names: ``[name]`` or ``[name1, .., nameN]``."""
-        if self.replicas == 1:
-            return [self.name]
-        return [f"{self.name}{i + 1}" for i in range(self.replicas)]
+        # one copy of the per-node checks: the graph node validates
+        self.node_spec()
 
     @property
     def max_sys_q_depth(self):
-        if self.sync:
-            return self.threads + self.backlog
-        return self.lite_q_depth + self.backlog
+        return self.node_spec().max_sys_q_depth
 
     def node_spec(self):
         """The graph-core node equivalent of this tier (``pool_to_next``
@@ -144,14 +108,15 @@ def uniform_chain(depth, sync=True, **overrides):
 
 
 class ChainSystem(GraphSystem):
-    """A built linear chain, with the same surface as NTierSystem."""
+    """A built linear chain: a :class:`GraphSystem` that keeps its
+    tier specs."""
 
     request_kind = "ChainRequest"
     request_operation = "chain"
     clients_rng_label = "chain-clients"
 
-    def __init__(self, sim, graph, fabric, specs, streaming=False):
-        super().__init__(sim, graph, fabric, streaming=streaming)
+    def __init__(self, sim, graph, fabric, specs, **kwargs):
+        super().__init__(sim, graph, fabric, **kwargs)
         self.specs = list(specs)
 
     @property
@@ -190,7 +155,7 @@ def build_chain(specs, sim=None, seed=42, net_latency=0.0002, rto=3.0,
         chain_graph(specs), sim=sim, seed=seed, net_latency=net_latency,
         rto=rto, max_retransmits=max_retransmits, streaming=streaming,
         rng_label="chain-app",
-        system_factory=lambda sim, graph, fabric: ChainSystem(
-            sim, graph, fabric, specs, streaming=streaming
+        system_factory=lambda sim, graph, fabric, **kwargs: ChainSystem(
+            sim, graph, fabric, specs, **kwargs
         ),
     )

@@ -21,9 +21,12 @@ monitor interval 50 ms          §IV: fine-grained measurement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
+from ..apps.rubbos import RubbosApplication
 from ..servers.policies import TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec
+from .graph import EdgeSpec, NodeSpec, ServiceGraph
 
 __all__ = ["SystemConfig", "server_names"]
 
@@ -94,10 +97,11 @@ class SystemConfig:
     interaction_specs: list = field(default=None, repr=False)
 
     # --- scale-out: per-tier replica groups --------------------------
-    # 1 everywhere keeps the paper's 1/1/1 topology (and the classic
-    # single-server build path, byte-identical to previous releases);
-    # any tier > 1 switches to the replicated builder, where every tier
-    # becomes a ReplicaGroup behind ``balancer`` and per-replica pools.
+    # 1 everywhere keeps the paper's 1/1/1 topology; a tier with N > 1
+    # gets N replicas, each on its own host, and every route into it a
+    # caller-owned ReplicaGroup behind ``balancer`` (per-replica pools).
+    # Once any tier is replicated, the built system's tier-keyed
+    # ``servers``/``vms``/``hosts`` hold a list per tier.
     web_replicas: int = 1
     app_replicas: int = 1
     db_replicas: int = 1
@@ -109,8 +113,8 @@ class SystemConfig:
     hedging: HedgingSpec = field(default=None, repr=False)
 
     # --- per-tier invocation-policy overrides ------------------------
-    # None keeps the nx-derived preset for that tier (byte-identical to
-    # the classic SyncServer/AsyncServer); a
+    # None keeps the nx-derived preset for that tier (the classic
+    # SyncServer/AsyncServer composition); a
     # :class:`repro.servers.policies.TierPolicy` replaces it with any
     # admission x concurrency x remediation composition — bounded
     # load-shedding queues, LiteQ-fronted thread pools, caller-side
@@ -122,20 +126,40 @@ class SystemConfig:
     def __post_init__(self):
         if not 0 <= self.nx <= 3:
             raise ValueError(f"nx must be in 0..3, got {self.nx}")
-        for name in ("web_threads", "app_threads", "db_threads"):
+        for name in ("web_threads", "app_threads", "db_threads",
+                     "db_pool_size", "app_vcpus", "lite_q_depth",
+                     "nginx_workers", "xtomcat_workers", "xmysql_slots",
+                     "xmysql_queue", "web_replicas", "app_replicas",
+                     "db_replicas"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.db_pool_size < 1:
-            raise ValueError("db_pool_size must be >= 1")
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+        for name in ("web_backlog", "app_backlog", "db_backlog",
+                     "max_retransmits"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        for name in ("tcp_rto", "monitor_interval", "think_mean"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (isfinite(self.net_latency) and self.net_latency >= 0):
+            raise ValueError(
+                f"net_latency must be finite and >= 0, got {self.net_latency}"
+            )
+        if self.xtomcat_pace_rate is not None and not self.xtomcat_pace_rate > 0:
+            raise ValueError(
+                "xtomcat_pace_rate must be > 0 or None, "
+                f"got {self.xtomcat_pace_rate}"
+            )
         for name in ("web_policy", "app_policy", "db_policy"):
             policy = getattr(self, name)
             if policy is not None and not isinstance(policy, TierPolicy):
                 raise ValueError(
                     f"{name} must be a TierPolicy or None, got {policy!r}"
                 )
-        for name in ("web_replicas", "app_replicas", "db_replicas"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.balancer not in BALANCERS:
             raise ValueError(
                 f"balancer must be one of {sorted(BALANCERS)}, "
@@ -152,13 +176,77 @@ class SystemConfig:
                     "hedging needs at least one tier with >= 2 replicas"
                 )
 
-    def tier_policy(self, tier_attr):
-        """Policy override for ``"web"``/``"app"``/``"db"``, or None."""
-        return getattr(self, f"{tier_attr}_policy")
+    def tier_policy(self, tier):
+        """The :class:`TierPolicy` ``"web"``/``"app"``/``"db"`` is built
+        from: its ``*_policy`` override, else the nx-derived preset."""
+        override = getattr(self, f"{tier}_policy")
+        if override is not None:
+            return override
+        if tier == "web":
+            if self.web_is_async:
+                return TierPolicy.asynchronous(
+                    lite_q_depth=self.lite_q_depth,
+                    workers=self.nginx_workers,
+                )
+            return TierPolicy.sync(
+                threads=self.web_threads,
+                spawn_extra_process=self.web_spawn_extra_process,
+                spawn_after=self.web_spawn_after,
+                max_processes=self.web_max_processes,
+            )
+        if tier == "app":
+            # XTomcat: NIO connector (huge lightweight queue) feeding the
+            # servlet executor pool; executors never block on the
+            # (asynchronous) database connector
+            if self.app_is_async:
+                return TierPolicy.asynchronous(
+                    lite_q_depth=self.lite_q_depth,
+                    workers=self.xtomcat_workers,
+                    pace_rate=self.xtomcat_pace_rate,
+                )
+            return TierPolicy.sync(threads=self.app_threads)
+        if self.db_is_async:
+            return TierPolicy.asynchronous(
+                lite_q_depth=self.xmysql_queue, workers=self.xmysql_slots,
+            )
+        return TierPolicy.sync(threads=self.db_threads)
 
-    def tier_replicas(self, tier_attr):
+    def tier_replicas(self, tier):
         """Replica count for ``"web"``/``"app"``/``"db"``."""
-        return getattr(self, f"{tier_attr}_replicas")
+        return getattr(self, f"{tier}_replicas")
+
+    def to_graph(self, app=None):
+        """The paper's web → app → db path as a :class:`ServiceGraph`.
+
+        Node names are the tier keys, which the RUBBoS servlets of
+        ``app`` (default: one built from ``interaction_specs``) call by
+        name.  Every node carries its :meth:`tier_policy`; a blocking
+        app tier reaches the database through the JDBC pool of
+        ``db_pool_size`` (an asynchronous connector multiplexes and
+        needs none).
+        """
+        handlers = (app or RubbosApplication(self.interaction_specs)).handlers()
+
+        def servlet(node, successors, rng):
+            return handlers[node.name]
+
+        nodes = []
+        for tier in ("web", "app", "db"):
+            replicas = self.tier_replicas(tier)
+            nodes.append(NodeSpec(
+                tier, policy=self.tier_policy(tier),
+                backlog=getattr(self, f"{tier}_backlog"),
+                vcpus=self.app_vcpus if tier == "app" else 1,
+                replicas=replicas, balancer=self.balancer,
+                hedging=self.hedging if replicas > 1 else None,
+                handler=servlet,
+            ))
+        app_blocks = self.tier_policy("app").concurrency.kind == "threads"
+        return ServiceGraph(nodes, [
+            EdgeSpec("web", "app"),
+            EdgeSpec("app", "db",
+                     pool=self.db_pool_size if app_blocks else None),
+        ])
 
     @property
     def is_replicated(self):

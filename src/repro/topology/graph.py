@@ -12,17 +12,21 @@ and servers.  Nodes with one outgoing edge issue plain sequential
 a :class:`~repro.apps.servlet.Gather` barrier (all-of, or first-K-of
 with ``quorum``).
 
-The linear builders are thin presets over this core:
+This is the one place hosts, VMs and servers are constructed.  The
+linear topologies are presets over it:
 :func:`repro.topology.chain.build_chain` converts its ``TierSpec`` list
-to a path graph and delegates here (byte-identical systems — the
-construction order below deliberately replays the historical chain
-order), and the 3-tier ``builder.py`` systems share the
-:class:`ServiceSystem` monitor/log surface.
+to a path graph, and :func:`repro.topology.builder.build_system` builds
+``SystemConfig.to_graph()`` — the paper's web → app → db path — with
+the tier display names (apache/nginx, tomcat1..N, ...) and any VM
+consolidation host overrides.  Both delegate here and build
+byte-identical systems to their historical builders (the golden
+records pin the construction order below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from ..apps.servlet import (
     CacheAbort,
@@ -40,19 +44,11 @@ from ..cpu.host import Host
 from ..metrics.monitor import SystemMonitor
 from ..metrics.trace import RequestLog, RequestRecord
 from ..net.tcp import ConnectionTimeout, NetworkFabric
-from ..servers.async_server import AsyncServer
 from ..servers.cache import LruCache
-from ..servers.policies import (
-    AdmissionSpec,
-    ConcurrencySpec,
-    RemediationSpec,
-    TierPolicy,
-    build_remediation,
-)
+from ..servers.policies import RemediationSpec, TierPolicy
 from ..servers.replica import BALANCERS, HedgingSpec, ReplicaGroup
 from ..servers.runtime import policy_server
 from ..servers.storage import WriteBackStore
-from ..servers.sync_server import SyncServer
 from ..sim.kernel import Simulator
 from ..units import ms
 
@@ -85,6 +81,11 @@ class NodeSpec:
     edges issues one parallel :class:`~repro.apps.servlet.Gather` over
     all of them, resuming on all-of or — with ``quorum=K`` — on the
     first K responses.
+
+    The node's server is built from ``policy`` when given; otherwise
+    from the sync (thread pool of ``threads``) or async (``workers``
+    event-loop workers behind a ``lite_q_depth`` LiteQ) preset, with
+    ``remediation`` on its outgoing calls.
     """
 
     name: str
@@ -132,11 +133,11 @@ class NodeSpec:
     write_buffer: int = None
     #: storage nodes: fraction of arriving commands that are writes
     write_fraction: float = 0.0
-    #: optional :class:`~repro.servers.policies.AdmissionSpec` override
-    #: (e.g. shed / codel AQM); the node is then built as a
-    #: :class:`~repro.servers.runtime.PolicyServer` instead of the
-    #: Sync/Async preset
-    admission: AdmissionSpec = field(default=None, repr=False)
+    #: optional :class:`~repro.servers.policies.TierPolicy` (e.g. a
+    #: shed / codel AQM front, Apache's second process, a paced event
+    #: loop); replaces the sync/threads/workers/lite_q_depth/remediation
+    #: preset wholesale
+    policy: TierPolicy = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
@@ -166,16 +167,34 @@ class NodeSpec:
                     f"{self.name}: write_fraction must be in [0, 1], "
                     f"got {self.write_fraction}"
                 )
-        if (self.admission is not None
-                and not isinstance(self.admission, AdmissionSpec)):
-            raise ValueError(
-                f"{self.name}: admission must be an AdmissionSpec or "
-                f"None, got {self.admission!r}"
-            )
+        if self.policy is not None:
+            if not isinstance(self.policy, TierPolicy):
+                raise ValueError(
+                    f"{self.name}: policy must be a TierPolicy or None, "
+                    f"got {self.policy!r}"
+                )
+            if self.remediation is not None:
+                raise ValueError(
+                    f"{self.name}: give remediation inside the policy, "
+                    "not beside it"
+                )
         if self.sync and self.threads < 1:
             raise ValueError(f"{self.name}: threads must be >= 1")
         if not self.sync and self.workers < 1:
             raise ValueError(f"{self.name}: workers must be >= 1")
+        if self.vcpus < 1:
+            raise ValueError(f"{self.name}: vcpus must be >= 1")
+        if self.backlog < 0:
+            raise ValueError(f"{self.name}: backlog must be >= 0")
+        if self.lite_q_depth < 1:
+            raise ValueError(f"{self.name}: lite_q_depth must be >= 1")
+        for stage in ("pre_work", "mid_work", "post_work"):
+            work = getattr(self, stage)
+            if not (isfinite(work) and work >= 0):
+                raise ValueError(
+                    f"{self.name}: {stage} must be finite and >= 0, "
+                    f"got {work}"
+                )
         if self.calls_to_next < 1:
             raise ValueError(f"{self.name}: calls_to_next must be >= 1")
         if (self.remediation is not None
@@ -204,20 +223,25 @@ class NodeSpec:
                 f"{self.name}: quorum must be >= 1, got {self.quorum}"
             )
 
-    @property
-    def replica_names(self):
-        """Display names: ``[name]`` or ``[name1, .., nameN]``."""
-        if self.replicas == 1:
-            return [self.name]
-        return [f"{self.name}{i + 1}" for i in range(self.replicas)]
+    def server_policy(self):
+        """The :class:`TierPolicy` this node's servers are built from."""
+        if self.policy is not None:
+            return self.policy
+        if self.sync:
+            return TierPolicy.sync(threads=self.threads,
+                                   remediation=self.remediation)
+        return TierPolicy.asynchronous(lite_q_depth=self.lite_q_depth,
+                                       workers=self.workers,
+                                       remediation=self.remediation)
 
     @property
     def max_sys_q_depth(self):
-        if self.admission is not None and self.admission.kind != "backlog":
-            return self.admission.depth + self.backlog
-        if self.sync:
-            return self.threads + self.backlog
-        return self.lite_q_depth + self.backlog
+        policy = self.server_policy()
+        if policy.admission.kind != "backlog":
+            return policy.admission.depth + self.backlog
+        if policy.concurrency.kind == "threads":
+            return policy.concurrency.threads + self.backlog
+        return policy.concurrency.workers + self.backlog
 
 
 @dataclass(frozen=True)
@@ -395,13 +419,11 @@ def fan_out(root, leaves, edge_pool=None):
 # ======================================================================
 class ServiceSystem:
     """Monitor, log and drop/shed accounting shared by every built
-    topology (graph, chain, 3-tier) — one copy of the wiring that used
-    to be duplicated between ``builder.py`` and ``chain.py``.
+    topology (graph, chain, 3-tier).
 
     Subclasses provide ``server_items()`` / ``vm_items()`` (display
-    name, object) pairs and may override :meth:`_watch` to change the
-    monitor registration order (which is part of the golden byte
-    contract for existing topologies).
+    name, object) pairs; :meth:`_watch`'s registration order is part of
+    the golden byte contract.
     """
 
     #: fallback sampling interval; 3-tier systems use the config's
@@ -485,7 +507,12 @@ class ServiceSystem:
 class GraphSystem(ServiceSystem):
     """A built service graph, replica-flat like the chain system:
     ``names``/``hosts``/``vms``/``servers`` hold one entry per replica
-    in node declaration order."""
+    in node declaration order.
+
+    ``names`` (the constructor argument) maps node names to display
+    names; unmapped nodes display as themselves.  ``replica_names``
+    maps every node name to its replicas' display names.
+    """
 
     #: RequestRecord kind logged by the built-in workload generators
     request_kind = "GraphRequest"
@@ -494,12 +521,20 @@ class GraphSystem(ServiceSystem):
     #: default label of the client arrival RNG stream
     clients_rng_label = "graph-clients"
 
-    def __init__(self, sim, graph, fabric, streaming=False):
+    def __init__(self, sim, graph, fabric, streaming=False, names=None):
         self._init_shared(sim, fabric, streaming=streaming)
         self.graph = graph
+        names = names or {}
+        self.replica_names = {}
+        for node in graph.nodes:
+            base = names.get(node.name, node.name)
+            self.replica_names[node.name] = (
+                [base] if node.replicas == 1
+                else [f"{base}{i + 1}" for i in range(node.replicas)]
+            )
         #: flat display names, one entry per *replica*, declaration order
         self.names = [
-            name for node in graph.nodes for name in node.replica_names
+            name for group in self.replica_names.values() for name in group
         ]
         self.hosts = []
         self.vms = []
@@ -516,34 +551,43 @@ class GraphSystem(ServiceSystem):
     def entry(self):
         if self.client_group is not None:
             return self.client_group
-        return self.server(self.graph.node(self.graph.entry)
-                           .replica_names[0]).listener
+        return self.server(self.replica_names[self.graph.entry][0]).listener
+
+    def _rows(self):
+        """(display name, host, vm, server) per replica, declaration
+        order — the one primitive the lookups below read."""
+        return zip(self.names, self.hosts, self.vms, self.servers)
+
+    def _row(self, name):
+        for row in self._rows():
+            if row[0] == name:
+                return row
+        raise ValueError(f"no replica named {name!r}")
 
     def server(self, name):
-        return self.servers[self.names.index(name)]
+        return self._row(name)[3]
 
     def vm(self, name):
-        return self.vms[self.names.index(name)]
+        return self._row(name)[2]
 
     def host_of(self, name):
-        return self.hosts[self.names.index(name)]
+        return self._row(name)[1]
 
     # replica-agnostic iteration (the surface RunResult and attribution
     # consume) ---------------------------------------------------------
     def server_items(self):
-        return list(zip(self.names, self.servers))
+        return [(name, server) for name, _h, _v, server in self._rows()]
 
     def vm_items(self):
-        return list(zip(self.names, self.vms))
+        return [(name, vm) for name, _h, vm, _s in self._rows()]
 
     def host_items(self):
-        return list(zip(self.names, self.hosts))
+        return [(name, host) for name, host, _v, _s in self._rows()]
 
     def tier_groups(self):
         """Topo-ordered display-name groups (replicas share a group)."""
         return [
-            list(self.graph.node(name).replica_names)
-            for name in self.graph.topo_order()
+            list(self.replica_names[name]) for name in self.graph.topo_order()
         ]
 
     def tier_edges(self):
@@ -748,29 +792,43 @@ _KIND_HANDLERS = {
 # ======================================================================
 def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
                 max_retransmits=3, streaming=False, rng_label="graph-app",
-                system_factory=None):
+                system_factory=None, names=None, host_overrides=None):
     """Build a live system from a :class:`ServiceGraph`.
 
     ``rng_label`` names the shared application RNG stream (the chain
     preset passes ``"chain-app"`` so existing seeds replay identically);
-    ``system_factory(sim, graph, fabric)`` substitutes a
-    :class:`GraphSystem` subclass.  Construction replays the historical
-    chain order exactly — fabric, system, app RNG fork, then per node
-    (declaration order) per replica: host, VM, server, remediation —
-    because golden byte-identity is keyed on it.
+    ``system_factory(sim, graph, fabric, streaming=, names=)``
+    substitutes a :class:`GraphSystem` subclass.  ``names`` maps node
+    names to server display names (replicas append ``1..N``), and
+    ``host_overrides`` maps node names to existing
+    :class:`~repro.cpu.host.Host` objects the node's VM is placed on
+    instead of a fresh host — VM consolidation (single-replica nodes
+    only).
+
+    Construction order is fixed because golden byte-identity is keyed
+    on it: fabric, system, app RNG fork, then per node (declaration
+    order) per replica: host, VM, server; then the client entry group
+    of a replicated entry node, then the edges in declaration order.
     """
     if sim is not None and sim.seed != seed:
         raise ValueError(
             f"simulator seed {sim.seed!r} != seed {seed!r}; "
             "forked RNG streams would not be reproducible from the seed"
         )
+    host_overrides = host_overrides or {}
+    for name in host_overrides:
+        if name not in graph.topo_order():
+            raise ValueError(f"host override for unknown node {name!r}")
+        if graph.node(name).replicas > 1:
+            raise ValueError(
+                f"{name}: host_overrides needs a single-replica node"
+            )
     sim = sim or Simulator(seed=seed)
     fabric = NetworkFabric(sim, latency=net_latency, rto=rto,
                            max_retransmits=max_retransmits)
-    if system_factory is not None:
-        system = system_factory(sim, graph, fabric)
-    else:
-        system = GraphSystem(sim, graph, fabric, streaming=streaming)
+    system = (system_factory or GraphSystem)(
+        sim, graph, fabric, streaming=streaming, names=names,
+    )
     rng = sim.fork_rng(rng_label)
 
     node_servers = {}
@@ -778,35 +836,15 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
         successors = graph.successors(node.name)
         factory = node.handler or _KIND_HANDLERS[node.kind]
         handler = factory(node, successors, rng)
+        policy = node.server_policy()
         replicas = []
-        for name in node.replica_names:
-            host = Host(sim, cores=max(1, node.vcpus), name=f"{name}-host")
+        for name in system.replica_names[node.name]:
+            host = host_overrides.get(node.name)
+            if host is None:
+                host = Host(sim, cores=node.vcpus, name=f"{name}-host")
             vm = host.add_vm(f"{name}-vm", vcpus=node.vcpus)
-            if node.admission is not None:
-                # explicit admission override (e.g. CoDel AQM) composes
-                # with either driver through the policy runtime
-                concurrency = (
-                    ConcurrencySpec("threads", threads=node.threads)
-                    if node.sync else
-                    ConcurrencySpec("eventloop", workers=node.workers)
-                )
-                server = policy_server(
-                    sim, fabric, name, vm, handler,
-                    TierPolicy(admission=node.admission,
-                               concurrency=concurrency),
-                    backlog=node.backlog,
-                )
-            elif node.sync:
-                server = SyncServer(
-                    sim, fabric, name, vm, handler,
-                    threads=node.threads, backlog=node.backlog,
-                )
-            else:
-                server = AsyncServer(
-                    sim, fabric, name, vm, handler,
-                    lite_q_depth=node.lite_q_depth, workers=node.workers,
-                    backlog=node.backlog,
-                )
+            server = policy_server(sim, fabric, name, vm, handler, policy,
+                                   backlog=node.backlog)
             if node.kind == "cache":
                 server.cache = LruCache(
                     sim, node.cache_capacity, default_ttl=node.cache_ttl,
@@ -820,52 +858,38 @@ def build_graph(graph, sim=None, seed=42, net_latency=0.0002, rto=3.0,
                     name=f"{name}-store",
                 )
                 system.storages[name] = server.storage
-            if (node.remediation is not None
-                    and node.remediation.kind != "none"):
-                # rebind the outgoing-call invokers after construction:
-                # the preset classes fix admission/concurrency, but
-                # remediation composes with either driver
-                remediation = build_remediation(node.remediation)
-                remediation.bind(server)
-                server.remediation = remediation
             system.hosts.append(host)
             system.vms.append(vm)
             system.servers.append(server)
             replicas.append(server)
         node_servers[node.name] = replicas
 
-    def route_group(caller_label, target_node, listeners, pool_size):
+    def route_group(caller_label, target_node, pool_size):
         label = f"{caller_label}->{target_node.name}"
         group = ReplicaGroup(
-            sim, label, listeners,
+            sim, label, [s.listener for s in node_servers[target_node.name]],
             balancer=target_node.balancer, hedging=target_node.hedging,
             pool_size=pool_size,
         )
         system.groups[label] = group
         return group
 
+    entry_node = graph.node(graph.entry)
+    if entry_node.replicas > 1:
+        system.client_group = route_group("clients", entry_node, None)
+
     for edge in graph.edges:
         target_node = graph.node(edge.target)
         targets = node_servers[edge.target]
-        caller_node = graph.node(edge.source)
-        for caller_name, caller in zip(caller_node.replica_names,
+        for caller_name, caller in zip(system.replica_names[edge.source],
                                        node_servers[edge.source]):
             if len(targets) > 1:
                 caller.connect(
                     edge.target,
-                    route_group(caller_name, target_node,
-                                [s.listener for s in targets],
-                                edge.pool),
+                    route_group(caller_name, target_node, edge.pool),
                 )
             else:
                 caller.connect(
                     edge.target, targets[0].listener, pool_size=edge.pool,
                 )
-
-    entry_node = graph.node(graph.entry)
-    if entry_node.replicas > 1:
-        system.client_group = route_group(
-            "clients", entry_node,
-            [s.listener for s in node_servers[graph.entry]], None,
-        )
     return system

@@ -1,8 +1,11 @@
 """Unit tests for topology building (repro.topology)."""
 
+import math
+
 import pytest
 
-from repro.servers import AsyncServer, SyncServer
+from repro.servers.policies import RemediationSpec, TierPolicy
+from repro.servers.replica import HedgingSpec
 from repro.topology import SystemConfig, server_names
 
 from conftest import build_tiny_system
@@ -37,6 +40,32 @@ def test_thread_validation():
         SystemConfig(db_pool_size=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("app_vcpus", 0),
+    ("lite_q_depth", 0),
+    ("nginx_workers", 0),
+    ("xtomcat_workers", 0),
+    ("xmysql_slots", 0),
+    ("xmysql_queue", 0),
+    ("web_backlog", -1),
+    ("app_backlog", -1),
+    ("db_backlog", -1),
+    ("net_latency", -1),
+    ("net_latency", math.nan),
+    ("tcp_rto", 0),
+    ("max_retransmits", -1),
+    ("xtomcat_pace_rate", 0),
+    ("monitor_interval", 0),
+    ("think_mean", 0),
+    ("think_mean", -7.0),
+    ("think_mean", math.inf),
+])
+def test_bad_config_rejected_at_construction(field, value):
+    """Inputs that used to fail only inside build_system or mid-run."""
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: value})
+
+
 def test_async_predicates_progression():
     flags = [
         (SystemConfig(nx=n).web_is_async,
@@ -67,26 +96,128 @@ def test_server_names_follow_nx():
 # ----------------------------------------------------------------------
 # build_system
 # ----------------------------------------------------------------------
+#: admission/concurrency/remediation kinds of the classic presets
+SYNC = ("backlog", "threads", "none")
+ASYNC = ("eager", "eventloop", "none")
+
+
+def _kinds(server):
+    return (server.admission.kind, server.concurrency.kind,
+            server.remediation.kind)
+
+
 def test_build_sync_stack_types():
     system = build_tiny_system(nx=0)
-    assert isinstance(system.servers["web"], SyncServer)
-    assert isinstance(system.servers["app"], SyncServer)
-    assert isinstance(system.servers["db"], SyncServer)
+    assert [_kinds(system.servers[tier]) for tier in ("web", "app", "db")] \
+        == [SYNC, SYNC, SYNC]
 
 
 def test_build_async_stack_types():
     system = build_tiny_system(nx=3)
-    assert all(
-        isinstance(system.servers[tier], AsyncServer)
-        for tier in ("web", "app", "db")
-    )
+    assert [_kinds(system.servers[tier]) for tier in ("web", "app", "db")] \
+        == [ASYNC, ASYNC, ASYNC]
 
 
 def test_nx2_mixed_stack():
     system = build_tiny_system(nx=2)
-    assert isinstance(system.servers["web"], AsyncServer)
-    assert isinstance(system.servers["app"], AsyncServer)
-    assert isinstance(system.servers["db"], SyncServer)
+    assert [_kinds(system.servers[tier]) for tier in ("web", "app", "db")] \
+        == [ASYNC, ASYNC, SYNC]
+
+
+def test_config_graph_is_the_three_tier_path():
+    graph = SystemConfig().to_graph()
+    assert graph.topo_order() == ["web", "app", "db"]
+    assert graph.entry == "web"
+
+
+#: (config overrides, expected wiring) for the preset-wiring table:
+#: display names and kinds per replica, the JDBC pool size (None when
+#: the app tier does not block) and the replica-group labels
+_WIRING = {
+    "nx0": (dict(nx=0), dict(
+        names=["apache", "tomcat", "mysql"], kinds=[SYNC, SYNC, SYNC],
+        pool=4, groups=[],
+    )),
+    "nx1": (dict(nx=1), dict(
+        names=["nginx", "tomcat", "mysql"], kinds=[ASYNC, SYNC, SYNC],
+        pool=4, groups=[],
+    )),
+    "nx2": (dict(nx=2), dict(
+        names=["nginx", "xtomcat", "mysql"], kinds=[ASYNC, ASYNC, SYNC],
+        pool=None, groups=[],
+    )),
+    "nx3": (dict(nx=3), dict(
+        names=["nginx", "xtomcat", "xmysql"], kinds=[ASYNC, ASYNC, ASYNC],
+        pool=None, groups=[],
+    )),
+    "policy_override": (dict(
+        nx=0,
+        web_policy=TierPolicy.shedding(16, threads=8),
+        app_policy=TierPolicy.asynchronous(lite_q_depth=32, workers=2),
+        db_policy=TierPolicy.sync(
+            threads=4, remediation=RemediationSpec("retry")),
+    ), dict(
+        names=["apache", "tomcat", "mysql"],
+        kinds=[("shed", "threads", "none"), ASYNC,
+               ("backlog", "threads", "retry")],
+        pool=None, groups=[],
+    )),
+    "replicated_hedged": (dict(
+        nx=0, web_replicas=2, app_replicas=3, db_replicas=2,
+        hedging=HedgingSpec(),
+    ), dict(
+        names=["apache1", "apache2", "tomcat1", "tomcat2", "tomcat3",
+               "mysql1", "mysql2"],
+        kinds=[SYNC] * 7,
+        pool=4,
+        groups=["clients->web", "apache1->app", "apache2->app",
+                "tomcat1->db", "tomcat2->db", "tomcat3->db"],
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(_WIRING))
+def test_preset_wiring(case):
+    overrides, expected = _WIRING[case]
+    backlogs = {"web": 5, "app": 6, "db": 7}
+    system = build_tiny_system(
+        web_backlog=backlogs["web"], app_backlog=backlogs["app"],
+        db_backlog=backlogs["db"], **overrides,
+    )
+    items = system.server_items()
+    assert [name for name, _server in items] == expected["names"]
+    assert [_kinds(server) for _name, server in items] == expected["kinds"]
+    tier_of = {
+        name: tier
+        for tier, names in system.replica_names.items() for name in names
+    }
+    for name, server in items:
+        tier = tier_of[name]
+        assert server.listener.backlog == backlogs[tier]
+        downstream = {"web": "app", "app": "db", "db": None}[tier]
+        assert server.route_labels == (
+            {downstream: f"{name}->{downstream}"} if downstream else {}
+        )
+    groups = system.groups
+    assert list(groups) == expected["groups"]
+    replicated = len(system.replica_names["db"]) > 1
+    for name in system.replica_names["app"]:
+        app = system.server(name)
+        if replicated:
+            # the group owns one JDBC pool per database replica
+            group = groups[f"{name}->db"]
+            assert "db" not in app.pools
+            pools = group.pools or []
+            assert [pool.size for pool in pools] == (
+                [expected["pool"]] * len(group) if expected["pool"] else []
+            )
+        elif expected["pool"] is None:
+            assert "db" not in app.pools
+        else:
+            assert app.pools["db"].capacity == expected["pool"]
+            assert app.pools["db"].name == f"{name}->db.pool"
+    for group in groups.values():
+        assert group.hedging is not None
 
 
 def test_each_tier_gets_dedicated_host():
@@ -146,3 +277,9 @@ def test_attach_monitor_idempotent():
     second = system.attach_monitor()
     assert first is second
     assert set(first.cpu) == {"apache", "tomcat", "mysql"}
+
+
+def test_graph_open_loop_refused_on_three_tier_system():
+    """The graph client's bare requests carry no RUBBoS interaction."""
+    with pytest.raises(TypeError, match="RUBBoS"):
+        build_tiny_system().open_loop(10.0)

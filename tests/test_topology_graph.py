@@ -1,5 +1,7 @@
 """Unit tests for the service-graph core (repro.topology.graph)."""
 
+import math
+
 import pytest
 
 from repro.topology.graph import (
@@ -259,14 +261,14 @@ def test_built_storage_node_registers_and_serves():
 
 def test_admission_override_builds_a_policy_server():
     from repro.servers import CoDelAdmission
-    from repro.servers.policies import AdmissionSpec
+    from repro.servers.policies import TierPolicy
     from repro.servers.runtime import PolicyServer
 
     graph = ServiceGraph(
         [NodeSpec("front", sync=False, workers=2),
-         NodeSpec("db", threads=4,
-                  admission=AdmissionSpec("codel", depth=16,
-                                          target=0.02, interval=0.1))],
+         NodeSpec("db",
+                  policy=TierPolicy.codel(16, threads=4, target=0.02,
+                                          interval=0.1))],
         [EdgeSpec("front", "db")],
         entry="front",
     )
@@ -280,9 +282,45 @@ def test_admission_override_builds_a_policy_server():
     assert len(system.log.completed) > 0
 
 
-def test_admission_must_be_a_spec():
-    with pytest.raises(ValueError, match="admission must be an"):
-        NodeSpec("n", admission="codel")
+def test_policy_must_be_a_tier_policy():
+    with pytest.raises(ValueError, match="policy must be a TierPolicy"):
+        NodeSpec("n", policy="codel")
+
+
+def test_policy_and_separate_remediation_rejected():
+    from repro.servers.policies import RemediationSpec, TierPolicy
+
+    with pytest.raises(ValueError, match="remediation inside the policy"):
+        NodeSpec("n", policy=TierPolicy.sync(),
+                 remediation=RemediationSpec("retry"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vcpus", 0),
+    ("backlog", -1),
+    ("lite_q_depth", 0),
+    ("pre_work", -0.001),
+    ("mid_work", math.inf),
+    ("post_work", math.nan),
+])
+def test_bad_node_rejected_at_construction(field, value):
+    """Inputs that used to fail inside build_graph, be silently
+    clamped (negative work) or stall the run without error (NaN)."""
+    with pytest.raises(ValueError, match=field):
+        NodeSpec("n", **{field: value})
+
+
+def test_host_override_for_replicated_node_rejected():
+    from repro.cpu.host import Host
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator(seed=42)
+    graph = ServiceGraph([NodeSpec("front"), NodeSpec("db", replicas=2)],
+                         [EdgeSpec("front", "db")])
+    with pytest.raises(ValueError, match="single-replica"):
+        build_graph(graph, sim=sim, host_overrides={"db": Host(sim)})
+    with pytest.raises(ValueError, match="unknown node"):
+        build_graph(graph, sim=sim, host_overrides={"web": Host(sim)})
 
 
 @pytest.mark.parametrize("sync_root", [True, False])
