@@ -267,9 +267,9 @@ class Request:
     """A request travelling through the system.
 
     The client creates a *root* request; each :class:`Call` spawns a
-    child request pointing back at the same root, so analysis can
-    attribute every packet drop anywhere in the tree to one client
-    request.
+    child request below it.  The whole tree shares the root's ``trace``
+    list, so analysis can attribute every packet drop anywhere in the
+    tree to one client request.
     """
 
     __slots__ = (
@@ -279,8 +279,8 @@ class Request:
         "work_hint",
         "created_at",
         "parent",
-        "root",
         "trace",
+        "faulted",
     )
 
     def __init__(self, kind, operation, created_at, work_hint=None, parent=None):
@@ -290,9 +290,19 @@ class Request:
         self.work_hint = work_hint
         self.created_at = created_at
         self.parent = parent
-        self.root = parent.root if parent is not None else self
-        #: (time, event, detail) tuples appended by servers and fabric.
-        self.trace = []
+        #: (time, event, detail) tuples appended by servers and fabric;
+        #: one list per request tree (the root's).
+        self.trace = parent.trace if parent is not None else []
+        #: set on the root once a drop or shed is recorded in the tree
+        self.faulted = False
+
+    @property
+    def root(self):
+        """The client request at the top of this request's tree."""
+        request = self
+        while request.parent is not None:
+            request = request.parent
+        return request
 
     def child(self, operation, created_at, work_hint=None):
         """Create the sub-request for a downstream :class:`Call`."""
@@ -301,7 +311,27 @@ class Request:
         )
 
     def record(self, time, event, detail=None):
-        self.root.trace.append((time, event, detail))
+        self.trace.append((time, event, detail))
+
+    def record_fault(self, time, event, listener):
+        """Record a ``"drop"`` or ``"shed"`` packet at ``listener`` and
+        mark the root, so only faulted requests pay for :meth:`faults`."""
+        self.trace.append((time, event, listener))
+        self.root.faulted = True
+
+    def faults(self):
+        """``(drops, sheds)``: lists of the tree's ``(time, listener)``
+        fault entries in trace order; ``((), ())`` if none was recorded."""
+        if not self.root.faulted:
+            return (), ()
+        drops = []
+        sheds = []
+        for time, event, detail in self.trace:
+            if event == "drop":
+                drops.append((time, detail))
+            elif event == "shed":
+                sheds.append((time, detail))
+        return drops, sheds
 
     def __repr__(self):
         return f"<Request #{self.id} {self.kind}:{self.operation}>"

@@ -290,22 +290,35 @@ def _live_settings(args):
     return settings
 
 
+def _reject_unsupported(args, names, hint=""):
+    """Print a one-line error and return True when a selected
+    experiment cannot honour ``--streaming`` or ``--live``."""
+    from .experiments.runner import LIVE_UNSUPPORTED, STREAMING_UNSUPPORTED
+
+    checks = (
+        (args.streaming, STREAMING_UNSUPPORTED, "--streaming",
+         "need(s) the exact per-request log"),
+        (args.live is not None, LIVE_UNSUPPORTED, "--live",
+         "build(s) systems outside Scenario and emit(s) no heartbeats"),
+    )
+    for given, unsupported, flag, reason in checks:
+        names_hit = sorted(set(names) & unsupported)
+        if given and names_hit:
+            print(f"error: {', '.join(names_hit)} {reason} and cannot run "
+                  f"with {flag}{hint}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_run(args):
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if args.streaming:
-        from .experiments.runner import STREAMING_UNSUPPORTED
-
-        unsupported = sorted(set(names) & STREAMING_UNSUPPORTED)
-        if unsupported:
-            print(f"error: {', '.join(unsupported)} need(s) the exact "
-                  "per-request log and cannot run with --streaming",
-                  file=sys.stderr)
-            return 2
-        if args.out:
-            print("error: --out exports per-request records, which "
-                  "--streaming does not retain; drop one of the two",
-                  file=sys.stderr)
-            return 2
+    if _reject_unsupported(args, names):
+        return 2
+    if args.streaming and args.out:
+        print("error: --out exports per-request records, which "
+              "--streaming does not retain; drop one of the two",
+              file=sys.stderr)
+        return 2
     live_settings = _live_settings(args)
     sink = None
     if live_settings is not None:
@@ -366,14 +379,10 @@ def _cmd_run_all(args):
         if not names:
             print("--jobs given but names no experiments", file=sys.stderr)
             return 2
-    if args.streaming:
-        selected = names if names is not None else list(runner.REGISTRY)
-        unsupported = sorted(set(selected) & runner.STREAMING_UNSUPPORTED)
-        if unsupported:
-            print(f"error: {', '.join(unsupported)} need(s) the exact "
-                  "per-request log and cannot run with --streaming "
-                  "(use --jobs to exclude it)", file=sys.stderr)
-            return 2
+    selected = names if names is not None else list(runner.REGISTRY)
+    if _reject_unsupported(args, selected,
+                           hint=" (use --jobs to exclude it)"):
+        return 2
     try:
         jobs = runner.expand_jobs(names=names, seeds=args.seeds,
                                   base_seed=args.seed, quick=args.quick)

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_SEED",
     "ExperimentSpec",
     "JobConfig",
+    "LIVE_UNSUPPORTED",
     "REGISTRY",
     "RunReport",
     "STREAMING_UNSUPPORTED",
@@ -58,6 +59,13 @@ DEFAULT_SEED = 42
 #: systems' full record lists; everything else goes through the shared
 #: builders and runs with the O(1)-memory streaming log (docs/SCALE.md).
 STREAMING_UNSUPPORTED = frozenset({"fig02"})
+
+#: registry names that build their systems without
+#: :class:`~repro.core.evaluation.Scenario`, never read the live
+#: configuration and so would emit no heartbeat; ``--live`` rejects them.
+LIVE_UNSUPPORTED = frozenset(
+    {"fig02", "deep_chain", "replication", "fanout", "cache_storage"}
+)
 
 #: (nx levels) for the asynchrony parameter sweep entry
 NX_LEVELS = (0, 1, 2, 3)

@@ -64,11 +64,12 @@ class RequestRecord:
         self.start = start
         self.end = end
         self.attempts = attempts
-        #: (time, listener_name) per dropped packet anywhere in the tree.
-        self.drops = list(drops)
+        #: (time, listener_name) per dropped packet anywhere in the tree;
+        #: a non-empty sequence is kept as given, an empty one is ``()``.
+        self.drops = drops or ()
         #: (time, listener_name) per packet refused with a 503 by a
-        #: load-shedding admission anywhere in the tree.
-        self.sheds = list(sheds)
+        #: load-shedding admission anywhere in the tree (stored likewise).
+        self.sheds = sheds or ()
         self.failed = failed
         self.error = error
         #: full event trace, kept only when the workload generator's

@@ -378,9 +378,9 @@ class NetworkFabric:
             if bus is not None:
                 bus.emit("net.shed", exchange.listener.name,
                          exchange.attempts)
-            record = getattr(exchange.payload, "record", None)
-            if record is not None:
-                record(self.sim.now, "shed", exchange.listener.name)
+            record_fault = getattr(exchange.payload, "record_fault", None)
+            if record_fault is not None:
+                record_fault(self.sim.now, "shed", exchange.listener.name)
             return
         if verdict:
             exchange.delivered_at = self.sim.now
@@ -392,11 +392,11 @@ class NetworkFabric:
         exchange.drops.append((self.sim.now, exchange.listener.name))
         if bus is not None:
             bus.emit("net.drop", exchange.listener.name, exchange.attempts)
-        record = getattr(exchange.payload, "record", None)
-        if record is not None:
+        record_fault = getattr(exchange.payload, "record_fault", None)
+        if record_fault is not None:
             # propagate to the root request's trace so the client can
             # attribute drops anywhere in the call tree
-            record(self.sim.now, "drop", exchange.listener.name)
+            record_fault(self.sim.now, "drop", exchange.listener.name)
         if exchange.attempts > self.max_retransmits:
             self.requests_timed_out += 1
             if bus is not None:

@@ -37,6 +37,7 @@ in the paper are quoted in milliseconds; helpers in
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import random
 
@@ -364,6 +365,12 @@ class Simulator:
             if first - t0 >= span:
                 t0 = first
             horizon = t0 + span
+            if horizon <= first:
+                # so far out (above ~7e16 s at the default geometry)
+                # that adding the span rounds back: the window cannot
+                # advance, so it moves just the head entries to bucket 0
+                t0 = first
+                horizon = math.nextafter(first, _INF)
             inv_width = self._inv_width
             pop = _heappop
             while overflow and overflow[0][0] < horizon:

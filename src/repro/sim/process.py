@@ -58,6 +58,22 @@ class Process(Event):
         # within an instant.
         sim.call_in(0.0, self._resume_cb, None)
 
+    def succeed(self, value=None):
+        self._release()
+        return Event.succeed(self, value)
+
+    def fail(self, exception):
+        self._release()
+        return Event.fail(self, exception)
+
+    def _release(self):
+        """Drop the bound methods that point back at this process and its
+        generator, so a finished process dies by reference count instead
+        of waiting for the cyclic garbage collector.  Wakeups still in
+        flight hold their own reference and are ignored by the state and
+        token checks."""
+        self._resume_cb = self._send = self._gthrow = None
+
     @property
     def is_alive(self):
         """True while the generator has not finished."""

@@ -640,17 +640,12 @@ class GraphSystem(ServiceSystem):
         except ConnectionTimeout as exc:
             failed = True
             error = str(exc)
+        drops, sheds = request.faults()
         self.log.add(
             RequestRecord(
                 request.id, self.request_kind,
                 start=request.created_at, end=self.sim.now,
-                attempts=exchange.attempts,
-                drops=[
-                    (t, d) for t, e, d in request.root.trace if e == "drop"
-                ],
-                sheds=[
-                    (t, d) for t, e, d in request.root.trace if e == "shed"
-                ],
+                attempts=exchange.attempts, drops=drops, sheds=sheds,
                 failed=failed, error=error,
             )
         )

@@ -1,5 +1,7 @@
 """Unit tests for the servlet DSL (repro.apps.servlet)."""
 
+import gc
+
 import pytest
 
 from repro.apps.servlet import (
@@ -11,6 +13,8 @@ from repro.apps.servlet import (
     ServletError,
     callback_form,
 )
+from repro.metrics.trace import RequestRecord
+from repro.net import NetworkFabric
 from repro.sim import Simulator
 
 
@@ -46,7 +50,34 @@ def test_record_lands_on_root_trace():
     child = root.child("q", 1.0)
     child.record(1.5, "drop", "mysql")
     assert root.trace == [(1.5, "drop", "mysql")]
-    assert child.trace == []  # child delegates to root
+    assert child.trace is root.trace  # one list per request tree
+
+
+def test_root_is_a_walk_not_a_self_reference():
+    root = Request("K", "op", 0.0)
+    leaf = root.child("a", 1.0).child("b", 2.0).child("c", 3.0)
+    assert leaf.root is root
+    assert leaf.parent.parent.root is root
+    assert root.root is root
+    assert root not in gc.get_referents(root)  # no cycle to collect
+
+
+def test_drop_on_grandchild_marks_root_and_reaches_record():
+    sim = Simulator()
+    fabric = NetworkFabric(sim, latency=0.0, max_retransmits=0)
+    full = fabric.listener("db", backlog=0)  # nobody accepts: a drop
+    root = Request("K", "op", 0.0)
+    grandchild = root.child("q", 0.0).child("q.sub", 0.0)
+    clean = Request("K", "op", 0.0)
+    assert clean.faults() == ((), ())
+    fabric.send(full, grandchild)
+    sim.run()
+    assert root.faulted and not grandchild.faulted
+    drops, sheds = root.faults()
+    record = RequestRecord(root.id, "K", 0.0, sim.now, drops=drops,
+                           sheds=sheds, failed=True)
+    assert record.drops == [(0.0, "db")]
+    assert record.sheds == () and record.was_dropped
 
 
 def test_response_constructors():

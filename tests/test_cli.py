@@ -84,6 +84,49 @@ def test_run_all_streaming_rejects_exact_record_experiments(capsys):
     assert "--jobs" in err  # tells the user how to exclude it
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any attempt to build a simulator fail the test."""
+    from repro.sim import kernel
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(kernel.Simulator, "__init__", refuse)
+
+
+@pytest.mark.parametrize("experiment", ["fanout", "cache_storage", "all"])
+def test_run_live_rejects_experiments_without_heartbeats(
+        experiment, tmp_path, capsys, no_simulation):
+    live_out = tmp_path / "beats.jsonl"
+    assert main(["run", experiment, "--duration", "3", "--live", "0.5",
+                 "--live-out", str(live_out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--live" in err
+    expected = {"fanout", "cache_storage"} if experiment == "all" \
+        else {experiment}
+    assert all(name in err for name in expected)
+    assert not live_out.exists()
+
+
+def test_run_all_live_rejects_experiments_without_heartbeats(
+        tmp_path, capsys, no_simulation):
+    from repro.experiments.runner import LIVE_UNSUPPORTED
+
+    live_out = tmp_path / "beats.jsonl"
+    assert main(["run-all", "--quick", "--live", "--live-out",
+                 str(live_out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert all(name in err for name in LIVE_UNSUPPORTED)
+    assert "--jobs" in err  # tells the user how to exclude them
+    assert not live_out.exists()
+    assert main(["run-all", "--jobs", "validation,deep_chain", "--quick",
+                 "--live"]) == 2
+    assert "deep_chain" in capsys.readouterr().err
+
+
 @pytest.mark.integration
 @pytest.mark.slow
 def test_run_all_streaming_executes(tmp_path, capsys):

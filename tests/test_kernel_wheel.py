@@ -8,10 +8,12 @@ runs, starvation detection with a non-empty overflow heap) through
 observable behaviour and the documented invariants.
 """
 
+import signal
+
 import pytest
 
 from repro.sim import SimulationDeadlock, Simulator
-from repro.sim.kernel import KERNEL_ENV
+from repro.sim.kernel import KERNEL_ENV, HeapSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -201,3 +203,38 @@ def test_executed_events_counts_across_rollovers():
         sim.call_at(i * 0.037, lambda: None)
     sim.run()
     assert sim.executed_events == n
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that hangs instead of stalling the suite."""
+    def on_alarm(_signum, _frame):
+        raise TimeoutError("kernel did not finish within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kernel", [Simulator, HeapSimulator])
+def test_huge_finite_times_dispatch_in_order(kernel, alarm):
+    """Above ~7e16 s ``t0 + span`` rounds back to ``t0``; the calendar
+    must still roll over and dispatch exactly like the heap."""
+    sim = kernel(seed=0)
+    hits = []
+
+    def hit(label):
+        hits.append((label, sim.now))
+        if label == "far":
+            # a delay below the float spacing lands on the same instant
+            sim.call_in(1.0, hit, "same-instant")
+
+    sim.call_at(1e17 + 32, hit, "later")
+    sim.call_at(1e17, hit, "far")
+    sim.call_at(0.5, hit, "near")
+    sim.run()
+    assert hits == [("near", 0.5), ("far", 1e17), ("same-instant", 1e17),
+                    ("later", 1e17 + 32)]
+    assert sim.now == 1e17 + 32

@@ -1,5 +1,7 @@
 """Unit tests for generator processes (repro.sim.process)."""
 
+import gc
+
 import pytest
 
 from repro.sim import ProcessInterrupt, Simulator
@@ -194,3 +196,33 @@ def test_many_processes_deterministic_order(sim):
         sim.process(proc(i))
     sim.run()
     assert order == list(range(20))
+
+
+def _holds_bound_method_of_itself(process):
+    return any(getattr(ref, "__self__", None) is process
+               for ref in gc.get_referents(process))
+
+
+@pytest.mark.parametrize("outcome", ["return", "raise", "interrupt"])
+def test_finished_process_holds_no_bound_method_of_itself(sim, outcome):
+    """A finished process is no reference cycle, so it dies by refcount;
+    a wakeup still in flight for it stays harmless."""
+    ev = sim.event()
+
+    def proc():
+        yield ev
+        if outcome == "raise":
+            raise ValueError("boom")
+        return "done"
+
+    p = sim.process(proc())
+    assert _holds_bound_method_of_itself(p)  # while it runs
+    if outcome == "interrupt":
+        sim.call_in(1.0, p.interrupt)
+        sim.call_in(2.0, ev.succeed, None)  # stale wakeup after the end
+    else:
+        sim.call_in(1.0, ev.succeed, None)
+    sim.run()
+    assert p.triggered
+    assert p.ok == (outcome == "return")
+    assert not _holds_bound_method_of_itself(p)
